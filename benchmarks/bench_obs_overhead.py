@@ -1,15 +1,15 @@
 """Observability overhead guard: the disabled path must cost ~nothing.
 
 Every instrumentation site in the hot paths is gated on one module
-global (``obscore._ACTIVE is None`` — the same pattern the fault layer
-uses), so a run with observability disabled should be within wall-clock
-noise of the pre-observability simulator, and a metrics-only run must
-stay cycle-identical while keeping the fused fast paths.
+global (``probe._ACTIVE is None``), so a run with nothing attached
+should be within wall-clock noise of the pre-observability simulator,
+and a metrics-only run must stay cycle-identical while keeping the
+fused fast paths.
 
 The disabled workload is run twice to estimate run-to-run noise on this
 host, then once with metrics enabled; the enabled/disabled wall ratio
 must stay within a few multiples of that noise.  Results go to
-``BENCH_obs_overhead.json``.
+``BENCH_obs_overhead.json`` once every gate has held.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ import time
 import pytest
 
 from conftest import print_header, write_bench_json
-from repro.analytics import stream as anstream
+from repro import probe
 from repro.analytics.stream import AnalyticsHub
-from repro.obs.core import Observability, installed
+from repro.obs.core import Observability
 from repro.obs.machine_sources import attach_machine
 from repro.obs.workloads import run_workload
 
@@ -53,7 +53,7 @@ def test_disabled_observability_overhead_within_noise(benchmark):
     def run():
         disabled_a, summary_a = _timed_run("copy")
         disabled_b, summary_b = _timed_run("copy")
-        with installed(Observability()) as obs:
+        with probe.attached(Observability()) as obs:
             t0 = time.perf_counter()
             summary_m = run_workload("copy")
             attach_machine(obs, summary_m["machine"])
@@ -87,6 +87,11 @@ def test_disabled_observability_overhead_within_noise(benchmark):
     print(f"  noise estimate : {100 * noise:9.2f} %")
     print(f"  enabled ratio  : {ratio:9.3f}x (ceiling {ceiling:.3f}x)")
 
+    assert ratio <= ceiling, (
+        f"metrics-enabled run {ratio:.3f}x over disabled baseline "
+        f"(ceiling {ceiling:.3f}x, noise {noise:.3%})"
+    )
+
     write_bench_json(
         RESULT_FILE,
         "obs_overhead",
@@ -101,11 +106,6 @@ def test_disabled_observability_overhead_within_noise(benchmark):
             "cycle_exact": True,
         },
         machine=summary_m["machine"],
-    )
-
-    assert ratio <= ceiling, (
-        f"metrics-enabled run {ratio:.3f}x over disabled baseline "
-        f"(ceiling {ceiling:.3f}x, noise {noise:.3%})"
     )
 
 
@@ -129,7 +129,7 @@ def _log_digest(log):
 
 def _attached_run():
     hub = AnalyticsHub()
-    with anstream.installed(hub):
+    with probe.attached(hub):
         t0 = time.perf_counter()
         summary = run_workload("copy")
         hub.notify(summary["machine"].clock.now)
@@ -195,6 +195,19 @@ def test_analytics_attached_overhead_within_noise(benchmark):
           f"({100 * fold_fraction:.2f}% of the run, budget "
           f"{100 * (ANALYTICS_RATIO_FLOOR - 1):.0f}%)")
 
+    # The streaming folds themselves must fit the 2% budget, measured
+    # in isolation where scheduler jitter cannot reach.
+    assert fold_fraction <= ANALYTICS_RATIO_FLOOR - 1.0, (
+        f"analytics fold costs {fold_fraction:.2%} of the disabled run "
+        f"(budget {ANALYTICS_RATIO_FLOOR - 1.0:.0%})"
+    )
+    # And the end-to-end attached run must sit inside that budget plus
+    # measured run-to-run noise.
+    assert ratio <= ceiling, (
+        f"analytics-attached run {ratio:.3f}x over disabled baseline "
+        f"(ceiling {ceiling:.3f}x, noise {noise:.3%})"
+    )
+
     write_bench_json(
         ANALYTICS_RESULT_FILE,
         "analytics_overhead",
@@ -213,19 +226,6 @@ def test_analytics_attached_overhead_within_noise(benchmark):
             "log_records_identical": True,
         },
         machine=summary_h["machine"],
-    )
-
-    # The streaming folds themselves must fit the 2% budget, measured
-    # in isolation where scheduler jitter cannot reach.
-    assert fold_fraction <= ANALYTICS_RATIO_FLOOR - 1.0, (
-        f"analytics fold costs {fold_fraction:.2%} of the disabled run "
-        f"(budget {ANALYTICS_RATIO_FLOOR - 1.0:.0%})"
-    )
-    # And the end-to-end attached run must sit inside that budget plus
-    # measured run-to-run noise.
-    assert ratio <= ceiling, (
-        f"analytics-attached run {ratio:.3f}x over disabled baseline "
-        f"(ceiling {ceiling:.3f}x, noise {noise:.3%})"
     )
 
 
@@ -249,7 +249,6 @@ def _wal_digest(library):
 
 @pytest.mark.benchmark(group="obs_overhead")
 def test_flight_recorder_overhead_within_budget(benchmark):
-    from repro.obs import flight as obsflight
     from repro.obs.flight import FlightRecorder
     from repro.serve.cli import run_serve
 
@@ -260,7 +259,7 @@ def test_flight_recorder_overhead_within_budget(benchmark):
 
     def recorded_run():
         recorder = FlightRecorder()
-        with obsflight.installed(recorder):
+        with probe.attached(recorder):
             t0 = time.perf_counter()
             result = run_serve(**FLIGHT_WORKLOAD)
             wall = time.perf_counter() - t0
@@ -273,13 +272,14 @@ def test_flight_recorder_overhead_within_budget(benchmark):
             bare.append(bare_run())
             recorded.append(recorded_run())
         # The recording cost in isolation, where scheduler jitter
-        # cannot reach: the per-event cost of ring appends times the
-        # number of events a run actually records.
-        recorder = FlightRecorder()
+        # cannot reach: the per-event cost of the recorder's stream
+        # handler (one ring append) times the number of events a run
+        # actually records.
+        record = FlightRecorder().handlers()["device.write"]
         n = 20_000
         t0 = time.perf_counter()
         for i in range(n):
-            recorder.record(i, "device.write", "ram", 64)
+            record(i, "ram", 64, i, 0)
         per_record = (time.perf_counter() - t0) / n
         return bare, recorded, per_record
 
@@ -319,6 +319,18 @@ def test_flight_recorder_overhead_within_budget(benchmark):
           f"({100 * record_fraction:.2f}% of the run, budget "
           f"{100 * (FLIGHT_RATIO_FLOOR - 1):.0f}%)")
 
+    # The ring appends themselves must fit the 2% budget, measured in
+    # isolation.
+    assert record_fraction <= FLIGHT_RATIO_FLOOR - 1.0, (
+        f"flight recording costs {record_fraction:.2%} of the bare run "
+        f"(budget {FLIGHT_RATIO_FLOOR - 1.0:.0%})"
+    )
+    # And the end-to-end recorded run must sit inside budget + noise.
+    assert ratio <= ceiling, (
+        f"recorder-on run {ratio:.3f}x over bare baseline "
+        f"(ceiling {ceiling:.3f}x, noise {noise:.3%})"
+    )
+
     write_bench_json(
         FLIGHT_RESULT_FILE,
         "flight_overhead",
@@ -337,16 +349,4 @@ def test_flight_recorder_overhead_within_budget(benchmark):
             "log_records_identical": True,
         },
         machine=result_rec["machine"],
-    )
-
-    # The ring appends themselves must fit the 2% budget, measured in
-    # isolation.
-    assert record_fraction <= FLIGHT_RATIO_FLOOR - 1.0, (
-        f"flight recording costs {record_fraction:.2%} of the bare run "
-        f"(budget {FLIGHT_RATIO_FLOOR - 1.0:.0%})"
-    )
-    # And the end-to-end recorded run must sit inside budget + noise.
-    assert ratio <= ceiling, (
-        f"recorder-on run {ratio:.3f}x over bare baseline "
-        f"(ceiling {ceiling:.3f}x, noise {noise:.3%})"
     )

@@ -39,7 +39,6 @@ from repro.analytics.policy import CheckpointTuner, TruncationAdvisor
 from repro.analytics.stream import (
     AnalyticsHub,
     LogTap,
-    installed,
     rebuild_tap,
 )
 
@@ -57,6 +56,5 @@ __all__ = [
     "TruncationAdvisor",
     "WindowedWss",
     "fold_records",
-    "installed",
     "rebuild_tap",
 ]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 
-from repro.analytics import stream as anstream
+from repro import probe
 from repro.analytics.stream import AnalyticsHub
 from repro.analytics.core import DEFAULT_HEAT_HALF_LIFE, DEFAULT_WSS_WINDOW
 from repro.obs.workloads import WORKLOADS, run_workload
@@ -43,7 +43,7 @@ def run_analyzed(
     """Run ``workload`` with an installed hub; returns (hub, summary)."""
     hub = AnalyticsHub(window=window, half_life=half_life)
     hub.on_sample = on_sample
-    with anstream.installed(hub):
+    with probe.attached(hub):
         summary = run_workload(workload)
         # Catch up on anything appended after the last logger drain.
         hub.notify(summary["machine"].clock.now)

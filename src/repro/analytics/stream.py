@@ -7,19 +7,13 @@ functional reads* (``Segment.read_bytes``), so an attached tap is
 cycle- and log-record-identical to no tap by construction — the
 exactness test in ``tests/analytics`` holds this.
 
-The :class:`AnalyticsHub` is installed as the module-global
-``_ACTIVE`` and poked by the hardware logger after each drain with the
-same one-``None``-check gate the fault and observability layers use
-(lvm-san rule LVM004)::
-
-    h = anstream._ACTIVE
-    if h is not None:
-        h.notify(now)
-
-so the disabled cost is one global load and identity test per drain.
-The kernel auto-registers logs with the hub as regions bind
-(``Kernel.attach_region_log``) and reports rewinds so tap cursors
-never read a rolled-back tail as fresh data.
+The :class:`AnalyticsHub` is a subscriber of the :mod:`repro.probe`
+stream: the hardware logger emits ``logger.drain`` after each drain,
+so the disabled cost is the probe's one global load and identity test
+per drain.  The kernel's ``log.attach`` events auto-register logs with
+the hub as regions bind (``Kernel.attach_region_log``), and its
+``log.rewind`` events clamp tap cursors so they never read a
+rolled-back tail as fresh data.
 
 Crash recovery: a tap holds only volatile state, all of it a pure
 function of the durable log — :func:`rebuild_tap` re-folds the
@@ -29,13 +23,12 @@ retained records after a crash (fault site ``analytics.rebuild``).
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import contextmanager
 
-from repro.errors import ConfigError
-from repro.faults import plan as faultplan
-from repro.obs import core as obscore
+import numpy as np
+
+from repro import probe
+from repro.obs.core import Observability
 from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE
-from repro.hw.records import RECORD_STRUCT
 from repro.analytics.core import (
     DEFAULT_HEAT_HALF_LIFE,
     DEFAULT_WSS_WINDOW,
@@ -44,7 +37,6 @@ from repro.analytics.core import (
     RateEwma,
     StatsFold,
     WindowedWss,
-    _np,
 )
 
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
@@ -79,7 +71,7 @@ class LogTap:
         # Normal 16-byte records pack densely (PAGE_SIZE is a record
         # multiple, so none straddles a page); extended 24-byte logs pad
         # at page boundaries and take the generic decode path.
-        self._fast = (
+        self._columns = (
             not log.extended_records and PAGE_SIZE % LOG_RECORD_SIZE == 0
         )
 
@@ -114,45 +106,34 @@ class LogTap:
         if tail == cursor:
             return 0
         prev_last_ts = self.stats.last_timestamp
-        if self._fast and _np is not None:
+        if self._columns:
             # Column decode without per-record Python: a 16-byte record
             # is four little-endian words (addr, value, size|flags<<16,
             # timestamp), so strided views give whole columns at once
             # and the folds see only per-page aggregates.
             data = log.read_bytes(cursor, tail - cursor)
-            words = _np.frombuffer(data, dtype="<u4")
+            words = np.frombuffer(data, dtype="<u4")
             addrs = words[0::4]
             stamps = words[3::4]
-            sizes = _np.frombuffer(data, dtype="<u2")[4::8]
+            sizes = np.frombuffer(data, dtype="<u2")[4::8]
             pages = addrs >> _PAGE_SHIFT
-            uniq, counts = _np.unique(pages, return_counts=True)
+            uniq, counts = np.unique(pages, return_counts=True)
             page_counts = dict(zip(uniq.tolist(), counts.tolist()))
             last_ts = int(stamps[-1])
             self.stats.fold_page_counts(
                 page_counts,
                 len(addrs),
-                int(sizes.sum(dtype=_np.int64)),
+                int(sizes.sum(dtype=np.int64)),
                 int(stamps[0]),
                 last_ts,
             )
             self.wss.extend_pages_array(pages)
             self.heat.touch_many(page_counts, last_ts)
             consumed = len(addrs)
-        elif self._fast:
-            data = log.read_bytes(cursor, tail - cursor)
-            columns = list(zip(*RECORD_STRUCT.iter_unpack(data)))
-            addrs = columns[0]
-            pages = [a >> _PAGE_SHIFT for a in addrs]
-            stamps = columns[4]
-            last_ts = stamps[-1]
-            self.stats.fold_columns(pages, sum(columns[2]), stamps[0], last_ts)
-            self.wss.extend_pages(pages)
-            self.heat.touch_many(Counter(pages), last_ts)
-            consumed = len(addrs)
         else:
             # Heat is *advance-granular* on every path: the records of
             # one advance are counted at the batch's last timestamp
-            # (matching the column paths above), with decay applied
+            # (matching the column path above), with decay applied
             # between advances.
             consumed = 0
             batch_pages: Counter[int] = Counter()
@@ -243,8 +224,15 @@ class AnalyticsHub:
             tap.rewound(log.append_offset)
 
     # ------------------------------------------------------------------
-    # The consumer side (poked by Logger.drain/flush)
+    # The consumer side (``logger.drain`` after Logger.drain/flush)
     # ------------------------------------------------------------------
+    def handlers(self) -> dict:
+        return {
+            "logger.drain": self.notify,
+            "log.attach": self.watch,
+            "log.rewind": self.log_rewound,
+        }
+
     def notify(self, now_cycle: int) -> int:
         """Advance every tap; export and sample when anything was new."""
         consumed = 0
@@ -252,7 +240,7 @@ class AnalyticsHub:
             consumed += tap.advance()
         if consumed:
             self.records_consumed += consumed
-            o = obscore._ACTIVE
+            o = probe.find(Observability)
             if o is not None:
                 self._export(o, now_cycle)
             callback = self.on_sample
@@ -292,40 +280,6 @@ class AnalyticsHub:
 
 
 # ----------------------------------------------------------------------
-# The installed hub (module-global; hot paths check ``is None``)
-# ----------------------------------------------------------------------
-_ACTIVE: AnalyticsHub | None = None
-
-
-def active() -> AnalyticsHub | None:
-    """The currently installed hub, or None."""
-    return _ACTIVE
-
-
-def install(hub: AnalyticsHub) -> AnalyticsHub:
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise ConfigError("an AnalyticsHub is already installed")
-    _ACTIVE = hub
-    return hub
-
-
-def uninstall() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-@contextmanager
-def installed(hub: AnalyticsHub):
-    """Install ``hub`` for the duration of the block."""
-    install(hub)
-    try:
-        yield hub
-    finally:
-        uninstall()
-
-
-# ----------------------------------------------------------------------
 # Crash recovery
 # ----------------------------------------------------------------------
 def _rebuild_site(cycle: int | None = None) -> None:
@@ -335,7 +289,7 @@ def _rebuild_site(cycle: int | None = None) -> None:
     re-fold, advisor re-seed) funnels through here so a crash sweep can
     interrupt recovery itself.
     """
-    faultplan.hit("analytics.rebuild", cycle=cycle)
+    probe.hit("analytics.rebuild", cycle=cycle)
 
 
 def rebuild_tap(

@@ -35,12 +35,9 @@ the crash-consistency sweep drives every backend identically.
 
 from __future__ import annotations
 
+from repro import probe
 from repro.errors import AddressError
-from repro.faults import plan as faultplan
 from repro.hw.cpu import CPU
-from repro.obs import causal
-from repro.obs import core as obscore
-from repro.obs import flight as obsflight
 
 #: Transfer block size for cost accounting.
 BLOCK_BYTES = 256
@@ -53,7 +50,7 @@ def flush_point(cpu: CPU) -> None:
     buffered appends were about to reach the medium: nothing buffered
     is durable.
     """
-    faultplan.hit("backend.flush", cycle=cpu.now)
+    probe.hit("backend.flush", cycle=cpu.now)
 
 
 def barrier_point(device: "LogDevice", cpu: CPU) -> None:
@@ -63,10 +60,10 @@ def barrier_point(device: "LogDevice", cpu: CPU) -> None:
     longer be reordered away by a crash: the plan's unflushed window
     for the device drains.
     """
-    faultplan.hit("backend.barrier", cycle=cpu.now)
-    fp = faultplan._ACTIVE
-    if fp is not None:
-        fp.disk_barrier(device)
+    probe.hit("backend.barrier", cycle=cpu.now)
+    p = probe._ACTIVE
+    if p is not None and "device.stable" in p:
+        p["device.stable"](device)
 
 
 class LogDevice:
@@ -74,8 +71,8 @@ class LogDevice:
 
     Subclasses select a latency model by overriding :meth:`_write_cost`
     / :meth:`_read_cost` (or just the constructor parameters); the
-    timed paths, fault hooks, and observability spans are shared so
-    every backend is instrumented identically.
+    timed paths and their probe events are shared so every backend is
+    instrumented identically.
     """
 
     #: Short backend name (the ``LOG_DEST``-style selector).
@@ -122,65 +119,38 @@ class LogDevice:
         """Durable write of ``data`` at ``offset``; charges ``cpu``."""
         if offset < 0 or offset + len(data) > self.size:
             raise AddressError(f"{self.name} device write out of range")
-        fp = faultplan._ACTIVE
-        if fp is not None:
-            # May raise CrashPoint (optionally after a torn prefix or
-            # the full write reached the platter) and tracks the
-            # unflushed reorder window.
-            fp.disk_write(self, cpu, offset, data)
-        o = obscore._ACTIVE
-        start_cycle = cpu.now if o is not None else 0
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.flow_step(cpu.now, cpu.index)
-            ca.device_enter(cpu.now)
+        p = probe._ACTIVE
+        if p is not None and "device.write.begin" in p:
+            # A fault plan may raise CrashPoint here (optionally after a
+            # torn prefix or the full write reached the platter) and
+            # tracks the unflushed reorder window.
+            p["device.write.begin"](cpu, self, offset, data)
+        start = cpu.now if p is not None and "device.write" in p else 0
         self._data[offset : offset + len(data)] = data
         self.write_ops += 1
         self.bytes_written += len(data)
         cpu.compute(self._write_cost(offset, len(data)))
-        if ca is not None:
-            ca.stage_exit(cpu.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(cpu.now, "device.write", self.name, len(data))
-        if o is not None:
-            # After the data lands: a CrashPoint in the fault hook must
-            # not leave a span for an I/O that never happened.
-            o.metrics.inc("rvm.disk.writes")
-            o.metrics.inc("rvm.disk.bytes_written", len(data))
-            # The I/O cost is charged to the issuing CPU (these devices
-            # have no concurrent transfer engine), so the span lives on
-            # the CPU's track and nests under wal.append / rvm.commit.
-            o.span(
-                "disk",
-                "disk.write",
-                start_cycle,
-                cpu.now,
-                cpu.index,
-                args={"bytes": len(data), "backend": self.name},
-            )
+        if p is not None and "device.write" in p:
+            p["device.write"](cpu.now, self.name, len(data), start, cpu.index)
 
     def read(self, cpu: CPU, offset: int, length: int) -> bytes:
         """Read ``length`` bytes at ``offset``; charges ``cpu``."""
         if offset < 0 or offset + length > self.size:
             raise AddressError(f"{self.name} device read out of range")
-        fp = faultplan._ACTIVE
-        if fp is not None:
-            fp.disk_read(self)  # a timed read is a write barrier
-        o = obscore._ACTIVE
-        start_cycle = cpu.now if o is not None else 0
+        p = probe._ACTIVE
+        if p is not None and "device.stable" in p:
+            # A timed read is a write barrier: the fault plan's unflushed
+            # window drains first.  Otherwise truncation could ingest log
+            # entries via its read-back, apply them to the segment images,
+            # and then have those entries reverted out of the window at a
+            # crash, leaving recovery to replay a partial old log over
+            # newer images.
+            p["device.stable"](self)
+        start = cpu.now if p is not None and "device.read" in p else 0
         self.read_ops += 1
         cpu.compute(self._read_cost(offset, length))
-        if o is not None:
-            o.metrics.inc("rvm.disk.reads")
-            o.span(
-                "disk",
-                "disk.read",
-                start_cycle,
-                cpu.now,
-                cpu.index,
-                args={"bytes": length, "backend": self.name},
-            )
+        if p is not None and "device.read" in p:
+            p["device.read"](cpu.now, self.name, length, start, cpu.index)
         return bytes(self._data[offset : offset + length])
 
     # ------------------------------------------------------------------
@@ -188,19 +158,13 @@ class LogDevice:
     # ------------------------------------------------------------------
     def flush(self, cpu: CPU) -> None:
         """Make buffered appends durable (no-op on synchronous devices)."""
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.stage_enter("barrier", cpu.now)
+        p = probe._ACTIVE
+        if p is not None and "device.flush.begin" in p:
+            p["device.flush.begin"](cpu)
         flush_point(cpu)
         self.flush_ops += 1
-        if ca is not None:
-            ca.stage_exit(cpu.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(cpu.now, "device.flush", self.name, 0)
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.inc("rvm.disk.flushes")
+        if p is not None and "device.flush" in p:
+            p["device.flush"](cpu.now, self.name, 0)
 
     def barrier(self, cpu: CPU) -> None:
         """Flush, then stabilise everything already written.
@@ -210,19 +174,13 @@ class LogDevice:
         scans the log back and resets the head.
         """
         self.flush(cpu)
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.stage_enter("barrier", cpu.now)
+        p = probe._ACTIVE
+        if p is not None and "device.barrier.begin" in p:
+            p["device.barrier.begin"](cpu)
         barrier_point(self, cpu)
         self.barrier_ops += 1
-        if ca is not None:
-            ca.stage_exit(cpu.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(cpu.now, "device.barrier", self.name, 0)
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.inc("rvm.disk.barriers")
+        if p is not None and "device.barrier" in p:
+            p["device.barrier"](cpu.now, self.name, 0)
 
     def lose_volatile(self) -> None:
         """Crash semantics: drop anything not yet durable (no-op here)."""

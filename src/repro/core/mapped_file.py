@@ -17,7 +17,7 @@ from repro.core.region import StdRegion
 from repro.core.segment import Segment, SegmentManager, StdSegment
 from repro.hw.memory import Frame
 from repro.hw.params import PAGE_SIZE
-from repro.rvm.ramdisk import RamDisk
+from repro.backends.ramdisk import RamDisk
 
 
 class FileSegmentManager(SegmentManager):

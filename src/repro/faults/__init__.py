@@ -6,19 +6,12 @@ See :mod:`repro.faults.plan` for the injection machinery,
 (``python -m repro.faults.sweep``).
 """
 
-# plan has no repro dependencies beyond errors; instrumented hardware
-# modules import it directly, so it must load first and eagerly.
 from repro.faults.plan import (
     SITE_DISK_WRITE,
     SITE_FIFO_PUSH,
     CrashPoint,
     CrashSpec,
     FaultPlan,
-    active,
-    hit,
-    install,
-    installed,
-    uninstall,
 )
 
 _LAZY = {
@@ -56,10 +49,5 @@ __all__ = [
     "CrashPoint",
     "CrashSpec",
     "FaultPlan",
-    "active",
-    "hit",
-    "install",
-    "installed",
-    "uninstall",
     *sorted(_LAZY),
 ]

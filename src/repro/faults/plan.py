@@ -10,11 +10,14 @@ optional torn-write and write-reordering behaviour for the durable
 store, in the spirit of rr's chaos mode (deterministic schedules that
 *look* adversarial but replay exactly).
 
-Instrumented modules (``backends/base.py``, ``rvm/wal.py``,
+A plan is the *pre-effect* subscriber of the :mod:`repro.probe`
+stream: instrumented modules (``backends/base.py``, ``rvm/wal.py``,
 ``rvm/rvm.py``, ``rvm/rlvm.py``, ``hw/fifo.py``, ``hw/logger.py``,
-``timewarp/state_saving.py``) call the module-level hooks, which are
-no-ops unless a plan is installed — the unfaulted hot paths pay one
-``is None`` check.
+``timewarp/state_saving.py``) call ``hit("<site>", ...)`` and emit the
+device and FIFO events before the effect they guard, and the plan's
+handlers run before any other subscriber's — so the unfaulted hot paths
+pay one ``is None`` check, and a crash precedes every record of the
+effect it prevented.
 
 A triggered fault raises :class:`CrashPoint`.  The exception carries a
 snapshot of *durable* state only (RAM disk bytes, segment disk images)
@@ -29,12 +32,13 @@ from __future__ import annotations
 
 import random
 from collections import Counter, deque
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable
 
+from repro import probe
 from repro.errors import ConfigError
-from repro.obs import flight as obsflight
+from repro.obs.core import Observability
+from repro.obs.flight import FlightRecorder
 
 #: Site hit once per durable RAM disk write (supports modes
 #: ``before`` / ``torn`` / ``after``).
@@ -58,11 +62,11 @@ class CrashPoint(Exception):
         plan_repr: ``repr`` of the firing plan — paste it back into a
             test to replay the exact same crash.
         metrics: metrics snapshot at the crash cycle when an
-            :mod:`repro.obs` Observability was installed, else None —
+            :mod:`repro.obs` Observability was attached, else None —
             the machine's counters as of the instant the power failed.
         flight: the tail of the :mod:`repro.obs.flight` recorder ring
             (cycle-stamped ``(cycle, kind, a, b)`` events leading up to
-            the crash) when one was installed, else None.
+            the crash) when one was attached, else None.
     """
 
     def __init__(
@@ -112,6 +116,11 @@ class FaultPlan:
     object run over the same deterministic workload produces the same
     crash, byte for byte.  ``repr(plan)`` reconstructs the plan.
     """
+
+    #: The plan's handlers run first, and its sites need every record
+    #: on the generic logger/bulk paths.
+    pre_effect = True
+    per_record = True
 
     def __init__(
         self,
@@ -201,8 +210,16 @@ class FaultPlan:
         self._observers.append(fn)
 
     # ------------------------------------------------------------------
-    # Instrumentation entry points
+    # Instrumentation entry points (probe events)
     # ------------------------------------------------------------------
+    def handlers(self) -> dict:
+        return {
+            "fault.site": self.hit,
+            "device.write.begin": self.disk_write,
+            "device.stable": self.disk_barrier,
+            "fifo.push": self.fifo_push,
+        }
+
     def hit(
         self,
         site: str,
@@ -217,9 +234,7 @@ class FaultPlan:
         payload).
         """
         n = self._note(site)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(cycle if cycle is not None else 0, "fault.hit", site, n)
+        _emit("fault.hit", cycle if cycle is not None else 0, site, n)
         if partial is not None:
             self.torn_capable.add(site)
         if self.fired:
@@ -234,8 +249,8 @@ class FaultPlan:
             self._crash(site, n)
         self._check_cycle(site, n, cycle)
 
-    def disk_write(self, disk, cpu, offset: int, data: bytes) -> None:
-        """Hook called by :meth:`RamDisk.write` before applying bytes.
+    def disk_write(self, cpu, disk, offset: int, data: bytes) -> None:
+        """``device.write.begin``: a device is about to apply bytes.
 
         Handles the three disk-write crash modes and the unflushed
         reorder window.  Returns normally when the write should proceed.
@@ -264,34 +279,21 @@ class FaultPlan:
             while len(self._window) > self.reorder_window:
                 self._window.popleft()  # flushed: can no longer be lost
 
-    def disk_read(self, disk) -> None:
-        """Hook called by :meth:`LogDevice.read`: a timed device read is
-        a write barrier — the unflushed window drains first.
-
-        Without this, truncation could ingest log entries via its
-        read-back, apply them to the segment images, and then have the
-        very same entries reverted out of the device window at the
-        crash, leaving recovery to replay a *partial* old log over
-        newer images.  Requiring reads to stabilise the bytes they
-        return is the weakest device assumption under which the
-        libraries' read-then-apply-then-reset protocol stays sound.
-        """
-        self.disk_barrier(disk)
-
     def disk_barrier(self, disk) -> None:
-        """Hook called by :meth:`LogDevice.barrier` (and by timed
-        reads): every write ``disk`` has already accepted becomes
+        """``device.stable`` (every device barrier and timed read):
+        every write ``disk`` has already accepted becomes
         stable — its entries leave the unflushed reorder window, so a
         later crash can no longer revert them."""
         if self._window:
             self._window = deque(e for e in self._window if e[0] is not disk)
 
-    def fifo_push(self, fifo, cycle: int | None = None) -> bool:
-        """Hook called by :meth:`HardwareFifo.push` before queueing.
+    def fifo_push(self, cycle: int | None = None) -> bool:
+        """``fifo.push``: a hardware FIFO is about to queue an entry.
 
-        Returns True when the plan forces the entry to be dropped (the
-        injected record-loss-on-overflow fault); may raise
-        :class:`CrashPoint` instead.
+        Returns True — the veto the ``fifo.push`` site acts on —
+        when the plan forces the entry to be dropped (the injected
+        record-loss-on-overflow fault); may raise :class:`CrashPoint`
+        instead.
         """
         n = self._note(SITE_FIFO_PUSH)
         if self.fired:
@@ -346,58 +348,21 @@ class FaultPlan:
             else:
                 surviving.append((disk, offset, offset + len(old)))
         snapshot = self._snapshot_fn() if self._snapshot_fn is not None else None
-        # Imported here: obs.core imports nothing from faults, but this
-        # module is imported by hw/core modules obs itself instruments.
-        from repro.obs import core as obscore
-
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(0, "fault.crash", site, n)
+        _emit("fault.crash", 0, site, n)
+        obs = probe.find(Observability)
+        recorder = probe.find(FlightRecorder)
         raise CrashPoint(
             site,
             n,
             snapshot,
             repr(self),
-            obscore.metrics_snapshot_if_active(),
-            obsflight.tail_if_active(),
+            obs.metrics.snapshot() if obs is not None else None,
+            recorder.tail() if recorder is not None else None,
         )
 
 
-# ----------------------------------------------------------------------
-# The installed plan (module-global; hot paths check ``_ACTIVE is None``)
-# ----------------------------------------------------------------------
-_ACTIVE: FaultPlan | None = None
-
-
-def active() -> FaultPlan | None:
-    """The currently installed plan, or None."""
-    return _ACTIVE
-
-
-def install(plan: FaultPlan) -> FaultPlan:
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise ConfigError("a FaultPlan is already installed")
-    _ACTIVE = plan
-    return plan
-
-
-def uninstall() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-@contextmanager
-def installed(plan: FaultPlan):
-    """Install ``plan`` for the duration of the block."""
-    install(plan)
-    try:
-        yield plan
-    finally:
-        uninstall()
-
-
-def hit(site: str, cycle: int | None = None, partial=None) -> None:
-    """Module-level site hook: no-op unless a plan is installed."""
-    if _ACTIVE is not None:
-        _ACTIVE.hit(site, cycle, partial)
+def _emit(kind: str, cycle: int, site: str, n: int) -> None:
+    """Report a site hit or the crash to the rest of the stream."""
+    p = probe._ACTIVE
+    if p is not None and kind in p:
+        p[kind](cycle, site, n)

@@ -3,7 +3,7 @@
 Strategy (the "count the sites, then crash at each" pass structure):
 
 1. **Count pass** — run a transaction workload to completion under an
-   installed :class:`FaultPlan` with no trigger.  The plan counts every
+   attached :class:`FaultPlan` with no trigger.  The plan counts every
    injection-site hit, so afterwards we know *exactly* which crash
    points this workload can reach — coverage is enumerated, not
    sampled.
@@ -31,7 +31,7 @@ import sys
 from dataclasses import dataclass, field
 
 from repro.core.context import boot, set_current_machine
-from repro.faults import plan as faultplan
+from repro import probe
 from repro.faults.checker import (
     CrashCheckFailure,
     CrashConsistencyChecker,
@@ -134,7 +134,7 @@ def run_script(
         is_rvm = not hasattr(rseg, "data_va")
         crash = None
         end_snapshot = None
-        with faultplan.installed(plan):
+        with probe.attached(plan):
             try:
                 _drive(backend, oracle, script, va, data_off, is_rvm)
             except CrashPoint as cp:

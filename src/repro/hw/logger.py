@@ -29,11 +29,7 @@ from __future__ import annotations
 import enum
 from typing import Protocol
 
-from repro.analytics import stream as anstream
-from repro.faults import plan as faultplan
-from repro.obs import core as obscore
-from repro.obs import flight as obsflight
-from repro.obs.trace import TID_LOGGER
+from repro import probe
 from repro.hw.bus import BusWrite, SystemBus
 from repro.hw.clock import Clock
 from repro.hw.fifo import HardwareFifo, PushResult
@@ -217,16 +213,9 @@ class Logger:
             return
         self.drain(complete_cycle)
         result = self.write_fifo.push(complete_cycle, write)
-        o = obscore._ACTIVE
-        if o is not None:
-            tracer = o.tracer
-            if tracer is not None and "logger" in tracer.categories:
-                tracer.counter(
-                    "logger",
-                    "logger.fifo_depth",
-                    complete_cycle,
-                    len(self.write_fifo._entries),
-                )
+        p = probe._ACTIVE
+        if p is not None and "logger.fifo_depth" in p:
+            p["logger.fifo_depth"](complete_cycle, len(self.write_fifo._entries))
         if result is PushResult.THRESHOLD:
             self._handle_overload(complete_cycle)
         elif result is PushResult.OVERFLOW:
@@ -249,9 +238,9 @@ class Logger:
         if start + self.config.logger_service_cycles > now:
             return
         self._drain_fast(now)
-        h = anstream._ACTIVE
-        if h is not None:
-            h.notify(now)
+        p = probe._ACTIVE
+        if p is not None and "logger.drain" in p:
+            p["logger.drain"](now)
 
     def flush(self) -> int:
         """Service every queued write regardless of time.
@@ -261,9 +250,9 @@ class Logger:
         """
         if self.write_fifo._entries:
             self._drain_fast(None)
-            h = anstream._ACTIVE
-            if h is not None:
-                h.notify(self._service_free)
+            p = probe._ACTIVE
+            if p is not None and "logger.drain" in p:
+                p["logger.drain"](self._service_free)
         return self._service_free
 
     def _drain_fast(self, limit: int | None) -> None:
@@ -280,7 +269,8 @@ class Logger:
         """
         entries = self.write_fifo._entries
         service = self.config.logger_service_cycles
-        if faultplan._ACTIVE is not None or obscore.trace_detail_active():
+        p = probe._ACTIVE
+        if p is not None and p.per_record:
             # Injection sites and trace spans live on the generic path;
             # route every record through _process so "logger.dma" fires
             # per record (cycle charges are identical either way).
@@ -406,22 +396,12 @@ class Logger:
 
     def _handle_overload(self, now: int) -> None:
         """FIFO crossed the threshold: interrupt and drain (section 3.1.3)."""
-        faultplan.hit("logger.overload", cycle=now)
+        probe.hit("logger.overload", cycle=now)
         self.stats.overload_events += 1
         drain_complete = self.flush()
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(now, "logger.overload", drain_complete, 0)
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.inc("hw.logger.overload_drains")
-            o.span(
-                "logger",
-                "logger.overload_drain",
-                now,
-                max(now, drain_complete),
-                TID_LOGGER,
-            )
+        p = probe._ACTIVE
+        if p is not None and "logger.overload" in p:
+            p["logger.overload"](now, drain_complete, 0)
         if self._fault_handler is not None:
             self._fault_handler.overload(max(now, drain_complete))
         self.clock.advance_to(drain_complete)
@@ -429,6 +409,7 @@ class Logger:
     def _process(self, write: BusWrite, complete_cycle: int) -> None:
         """Run one write through PMT → log table → record FIFO → DMA."""
         handler = self._fault_handler
+        p = probe._ACTIVE
         log_index = self.pmt.lookup(write.paddr)
         if log_index is None:
             # Logging fault: missing page-mapping-table entry.
@@ -439,12 +420,8 @@ class Logger:
                 return
             log_index, cycles = handler.pmt_miss(write.paddr)
             self._service_free += cycles
-            o = obscore._ACTIVE
-            if o is not None:
-                # Fault service stalls the whole pipeline (the FIFO backs
-                # up behind it) — the paper's "logging fault" penalty.
-                o.metrics.inc("hw.logger.stall_cycles", cycles)
-                o.instant("logger", "logger.pmt_fault", complete_cycle, TID_LOGGER)
+            if p is not None and "logger.fault" in p:
+                p["logger.fault"](complete_cycle, cycles, "logger.pmt_fault")
             # The record cannot proceed down the pipeline until the fault
             # service completes: its DMA and timestamp happen at the later
             # of the bus completion and the fault-handler return.
@@ -468,11 +445,9 @@ class Logger:
             if handler is not None:
                 new_addr, cycles = handler.log_boundary(log_index)
                 self._service_free += cycles
-                o = obscore._ACTIVE
-                if o is not None:
-                    o.metrics.inc("hw.logger.stall_cycles", cycles)
-                    o.instant(
-                        "logger", "logger.boundary_fault", complete_cycle, TID_LOGGER
+                if p is not None and "logger.fault" in p:
+                    p["logger.fault"](
+                        complete_cycle, cycles, "logger.boundary_fault"
                     )
                 if self._service_free > complete_cycle:
                     complete_cycle = self._service_free
@@ -505,26 +480,17 @@ class Logger:
             payload = (write.value & 0xFFFFFFFF).to_bytes(4, "little")
 
         # A crash here loses a record that was latched but not yet DMA'd.
-        faultplan.hit("logger.dma", cycle=complete_cycle)
+        probe.hit("logger.dma", cycle=complete_cycle)
         dma_done = self.bus.acquire(complete_cycle, self.config.log_dma_bus_cycles)
-        o = obscore._ACTIVE
-        if o is not None:
-            tracer = o.tracer
-            if tracer is not None and "logger" in tracer.categories:
-                tracer.complete(
-                    "logger",
-                    "logger.dma",
-                    complete_cycle,
-                    dma_done - complete_cycle,
-                    TID_LOGGER,
-                    {
-                        "dest": dest,
-                        # The record's own timestamp field, via the one
-                        # Clock.timestamp definition (satellite: no
-                        # ad-hoc division at call sites).
-                        "hw_ts": self.clock.timestamp(complete_cycle),
-                    },
-                )
+        if p is not None and "logger.dma" in p:
+            # The record's own timestamp field, via the one
+            # Clock.timestamp definition.
+            p["logger.dma"](
+                complete_cycle,
+                dma_done,
+                dest,
+                self.clock.timestamp(complete_cycle),
+            )
         self.memory.write_bytes(dest, payload)
         if lost:
             self.stats.records_dropped += 1

@@ -8,6 +8,7 @@ top of a :class:`Machine` and installs its fault handlers.
 
 from __future__ import annotations
 
+from repro import probe
 from repro.errors import ConfigError
 from repro.hw.bus import SystemBus
 from repro.hw.clock import Clock
@@ -18,7 +19,6 @@ from repro.hw.logger import Logger
 from repro.hw.memory import PhysicalMemory
 from repro.hw.params import PROTOTYPE, MachineConfig
 from repro.hw.tlb_logger import OnChipLogger
-from repro.sanitize import race as racesan
 
 
 class Machine:
@@ -87,11 +87,11 @@ class Machine:
         for cpu in self.cpus:
             cpu.suspend_until(cycle)
         self.clock.advance_to(cycle)
-        det = racesan._ACTIVE
-        if det is not None:
+        p = probe._ACTIVE
+        if p is not None and "sync.global" in p:
             # Every CPU resumes from the same kernel-driven barrier:
             # writes before the suspension happen-before writes after.
-            det.global_sync()
+            p["sync.global"]()
 
     def sync(self, cpu: CPU) -> int:
         """Make ``cpu`` wait until the logger pipeline is idle.
@@ -123,9 +123,9 @@ class Machine:
             cpu.drain_write_buffer()
         settle = self.logger.flush()
         self.clock.advance_to(settle)
-        det = racesan._ACTIVE
-        if det is not None:
+        p = probe._ACTIVE
+        if p is not None and "sync.global" in p:
             # Quiesce is a machine-wide barrier; everything before it
             # happens-before everything after.
-            det.global_sync()
+            p["sync.global"]()
         return self.time()

@@ -11,12 +11,12 @@ Three instruments over one gate:
 * :class:`CycleProfiler` — attributes simulated cycles to
   component/site and renders a flat + cumulative report.
 
-All three hang off one :class:`Observability` object installed as a
-module global (the ``faults/`` pattern): uninstrumented hot paths pay
-exactly one ``is None`` check.  See :mod:`repro.obs.core`.
+All three hang off one :class:`Observability` object, a subscriber of
+the one instrumentation gate :mod:`repro.probe`: uninstrumented hot
+paths pay exactly one ``is None`` check.  See :mod:`repro.obs.core`.
 
-Two further instruments share the same gate discipline under their own
-module globals: :class:`CausalTracker` (:mod:`repro.obs.causal`) —
+Two further instruments subscribe to the same event stream:
+:class:`CausalTracker` (:mod:`repro.obs.causal`) —
 per-request trace contexts, Perfetto flow events, and critical-path
 stage attribution for the serving front-end — and
 :class:`FlightRecorder` (:mod:`repro.obs.flight`) — an always-on
@@ -28,15 +28,7 @@ The CLI entry points are ``python -m repro trace <workload>`` and
 """
 
 from repro.obs.causal import CausalTracker, TraceContext
-from repro.obs.core import (
-    Observability,
-    active,
-    install,
-    installed,
-    metrics_snapshot_if_active,
-    trace_detail_active,
-    uninstall,
-)
+from repro.obs.core import Observability
 from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.profiler import CycleProfiler
@@ -54,11 +46,5 @@ __all__ = [
     "TraceContext",
     "TraceFormatError",
     "Tracer",
-    "active",
-    "install",
-    "installed",
-    "metrics_snapshot_if_active",
-    "trace_detail_active",
-    "uninstall",
     "validate_trace",
 ]

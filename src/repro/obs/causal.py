@@ -1,17 +1,20 @@
 """Causal request tracing: follow one transaction across every layer.
 
 The serving front-end (:mod:`repro.serve`) mints a deterministic
-request id for every client call and — when a :class:`CausalTracker`
-is installed — carries an explicit :class:`TraceContext` with the
-request as it crosses layers: serve dispatch → RVM/RLVM commit → WAL
-append → group-commit buffer → log device → barrier.  Each layer's
-gate hook does two things:
+request id for every client call and reports the request's life on the
+:mod:`repro.probe` stream (``serve.submit``, ``serve.dispatch``,
+``serve.ack``, ...).  An attached :class:`CausalTracker` keeps one
+:class:`TraceContext` per request id and follows it across layers:
+serve dispatch → RVM/RLVM commit → WAL append → group-commit buffer →
+log device → barrier.  Each layer's stage events (``wal.append.begin``
+… ``wal.append``, ``device.flush.begin`` … ``device.flush``) do two
+things:
 
-* emits a Perfetto *flow event* (``s``/``t``/``f`` phases sharing the
+* emit a Perfetto *flow event* (``s``/``t``/``f`` phases sharing the
   request id) through :mod:`repro.obs.core`, so opening the trace in
   the Perfetto UI draws arrows from the client's ``serve.req`` span to
   the WAL-append and device-flush spans it caused, and
-* charges elapsed cycles to a named *stage* of the request's critical
+* charge elapsed cycles to a named *stage* of the request's critical
   path.
 
 Stage attribution is stack-based and therefore exact: a context keeps
@@ -27,7 +30,7 @@ counting, so for every request::
 holds *exactly* (tests/obs/test_causal.py asserts it with no slack).
 
 Stage names (``queue_wait`` and ``group_commit_wait`` come from the
-server, the rest from layer hooks; ``library`` is the residual —
+server, the rest from layer events; ``library`` is the residual —
 cycles inside the RVM/RLVM commit path not attributable to a deeper
 layer):
 
@@ -46,18 +49,15 @@ Batched requests each get charged the *full* shared flush cost — the
 per-request sums stay exact, at the price of the stage histograms
 over-counting shared work when ``group_size > 1`` (DESIGN.md §9).
 
-Like every obs facility this is gated (LVM004): hot paths read the
-module global once and test ``is not None``; an uninstalled tracker
-costs one load per hook.  The tracker only *reads* cycle values — it
-never advances any clock — so a tracked run is cycle- and
-log-record-identical to a bare one.
+The tracker only *reads* cycle values — it never advances any clock —
+so a tracked run is cycle- and log-record-identical to a bare one.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 
-from repro.errors import ConfigError
+from repro import probe
 from repro.obs import core as obscore
 from repro.obs.trace import TID_CLIENT_BASE
 
@@ -159,26 +159,21 @@ class TraceContext:
             return self._stack[-1]
         return self._last
 
-    def describe(self) -> dict:
-        """A JSON-friendly snapshot (postmortem bundles, ServeCrashed)."""
-        return {
-            "rid": self.rid,
-            "client": self.client,
-            "op": self.op,
-            "last_stage": self.last_stage,
-        }
+
+def _obs():
+    return probe.find(obscore.Observability)
 
 
 class CausalTracker:
-    """Links serve-layer requests to the layer hooks they pass through.
+    """Links serve-layer requests to the layer events they cause.
 
-    The server registers requests (:meth:`open_request`) and brackets
-    layer work (:meth:`dispatch` / :meth:`dispatch_done` /
-    :meth:`adopt_batch`); the WAL/backend hooks call
+    The server's events register requests (:meth:`open_request`) and
+    bracket layer work (:meth:`dispatch` / :meth:`dispatch_done` /
+    :meth:`adopt_batch`); the WAL/backend stage events reach
     :meth:`stage_enter` / :meth:`stage_exit` / :meth:`flow_step`
-    without knowing which request is running — the tracker routes them
-    to every context in ``current`` (one during dispatch, the whole
-    batch during a group flush).
+    without naming a request — the tracker routes them to every context
+    in ``current`` (one during dispatch, the whole batch during a group
+    flush).
     """
 
     def __init__(self) -> None:
@@ -186,27 +181,30 @@ class CausalTracker:
         self.current: list[TraceContext] = []
         #: rid -> context for every request not yet acked/failed
         self.open: dict[int, TraceContext] = {}
+        #: rid -> context for every request ever opened
+        self._by_rid: dict[int, TraceContext] = {}
         #: finished contexts in ack order
         self.completed: list[TraceContext] = []
         #: a dispatch B span is open and ours to close
         self._dispatch_open = False
 
-    # -- serve-layer lifecycle -------------------------------------------
-    def open_request(self, rid: int, client: int, op: str, now: int) -> TraceContext:
+    # -- serve-layer lifecycle (the server's events, keyed by rid) ------
+    def open_request(self, now: int, rid: int, client: int, op: str) -> None:
         ctx = TraceContext(rid, client, op, now)
         self.open[rid] = ctx
-        o = obscore._ACTIVE
+        self._by_rid[rid] = ctx
+        o = _obs()
         if o is not None:
             o.flow_start("serve", "serve.req", now, tid=TID_CLIENT_BASE + client, flow_id=rid)
-        return ctx
 
-    def dispatch(self, ctx: TraceContext | None, now: int) -> None:
+    def dispatch(self, now: int, op: str, rid: int) -> None:
+        ctx = self._by_rid.get(rid)
         if ctx is None:
             self.current = []
             return
         ctx.begin(now)
         self.current = [ctx]
-        o = obscore._ACTIVE
+        o = _obs()
         if o is not None:
             # A *begin* span (closed at dispatch_done) rather than a
             # complete one: if a crash kills the server mid-dispatch,
@@ -224,7 +222,7 @@ class CausalTracker:
         self.current = []
         if now is not None and self._dispatch_open:
             self._dispatch_open = False
-            o = obscore._ACTIVE
+            o = _obs()
             if o is not None:
                 o.span_end(now)
 
@@ -239,22 +237,24 @@ class CausalTracker:
         self.current = []
         self._dispatch_open = False
 
-    def adopt_batch(self, contexts: list, now: int) -> None:
+    def adopt_batch(self, now: int, rids: list) -> None:
         """A group-commit flush works on behalf of the whole batch."""
-        self.current = [ctx for ctx in contexts if ctx is not None]
+        self.current = [self._by_rid[rid] for rid in rids if rid in self._by_rid]
 
-    def park(self, ctx: TraceContext | None, now: int) -> None:
+    def park(self, now: int, rid: int) -> None:
+        ctx = self._by_rid.get(rid)
         if ctx is not None:
             ctx.park(now)
 
-    def finish(self, ctx: TraceContext | None, now: int) -> None:
+    def finish(self, now: int, rid: int, *_ack) -> None:
         """Ack: close the context, emit its client span + flow end."""
+        ctx = self._by_rid.get(rid)
         if ctx is None or ctx.done:
             return
         ctx.finish(now)
         self.open.pop(ctx.rid, None)
         self.completed.append(ctx)
-        o = obscore._ACTIVE
+        o = _obs()
         if o is not None:
             tid = TID_CLIENT_BASE + ctx.client
             o.span(
@@ -275,12 +275,7 @@ class CausalTracker:
                 o.metrics.observe(f"serve.stage_cycles.{stage}", cycles)
             o.metrics.observe("serve.request_cycles", ctx.total)
 
-    def drop(self, ctx: TraceContext | None) -> None:
-        """Forget a context without acking (crash/failure path)."""
-        if ctx is not None:
-            self.open.pop(ctx.rid, None)
-
-    # -- layer hooks (called from wal/backends with no request in hand) --
+    # -- layer events (from wal/backends, with no request in hand) ------
     def stage_enter(self, name: str, now: int) -> None:
         for ctx in self.current:
             ctx.stage_enter(name, now)
@@ -306,7 +301,7 @@ class CausalTracker:
             ctx.stage_exit(now)
 
     def flow_step(self, ts: int, tid: int = 0) -> None:
-        o = obscore._ACTIVE
+        o = _obs()
         if o is not None:
             for ctx in self.current:
                 o.flow_step("serve", "serve.req", ts, tid=tid, flow_id=ctx.rid)
@@ -314,10 +309,6 @@ class CausalTracker:
     # -- introspection ---------------------------------------------------
     def current_rids(self) -> tuple[int, ...]:
         return tuple(ctx.rid for ctx in self.current)
-
-    def inflight(self) -> list[dict]:
-        """Descriptors for every request not yet acked (crash forensics)."""
-        return [ctx.describe() for ctx in self.open.values()]
 
     def report(self) -> str:
         """The ``python -m repro trace --serve`` critical-path table."""
@@ -348,35 +339,56 @@ class CausalTracker:
         return "\n".join(lines)
 
 
-# ----------------------------------------------------------------------
-# The installed tracker (module-global; hot paths check ``is None``)
-# ----------------------------------------------------------------------
-_ACTIVE: CausalTracker | None = None
+    # -- probe subscriber ------------------------------------------------
+    def handlers(self) -> dict:
+        exit_ = lambda now, *_detail: self.stage_exit(now)  # noqa: E731
+        handlers = {
+            "serve.submit": self.open_request,
+            "serve.dispatch": self.dispatch,
+            "serve.abandon": self.dispatch_abandoned,
+            "serve.dispatch_done": self.dispatch_done,
+            "serve.detach": self.dispatch_done,
+            "serve.park": self.park,
+            "serve.adopt": self.adopt_batch,
+            "serve.resolve": self.finish,
+            "serve.ack": self.finish,
+            "serve.crash": self._crashed,
+            "stage.enter": lambda now, name: self.stage_enter(name, now),
+            "stage.exit": self.stage_exit,
+            "wal.append.begin": self._wal_enter,
+            "wal.append_group.begin": self._wal_enter,
+            "device.write.begin": self._device_enter,
+            "device.buffer.begin": self._device_enter,
+            "device.flush.begin": self._barrier_enter,
+            "device.barrier.begin": self._barrier_enter,
+        }
+        for kind in probe.STAGED_KINDS:
+            handlers[kind] = exit_
+        return handlers
 
+    def _wal_enter(self, cpu) -> None:
+        self.flow_step(cpu.now, cpu.index)
+        self.stage_enter("wal_append", cpu.now)
 
-def active() -> CausalTracker | None:
-    """The currently installed tracker, or None."""
-    return _ACTIVE
+    def _device_enter(self, cpu, *_io) -> None:
+        self.flow_step(cpu.now, cpu.index)
+        self.device_enter(cpu.now)
 
+    def _barrier_enter(self, cpu) -> None:
+        self.stage_enter("barrier", cpu.now)
 
-def install(tracker: CausalTracker) -> CausalTracker:
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise ConfigError("a CausalTracker is already installed")
-    _ACTIVE = tracker
-    return tracker
-
-
-def uninstall() -> None:
-    global _ACTIVE
-    _ACTIVE = None
+    def _crashed(self, inflight: list[dict]) -> None:
+        """The server died: name each unserved request's last stage in
+        its in-flight descriptor and forget its context."""
+        for desc in inflight:
+            ctx = self._by_rid.get(desc["rid"])
+            if ctx is not None:
+                desc["last_stage"] = ctx.last_stage
+                self.open.pop(ctx.rid, None)
 
 
 @contextmanager
 def installed(tracker: CausalTracker | None = None):
-    """Install ``tracker`` (default: a fresh one) for the block."""
-    t = install(tracker if tracker is not None else CausalTracker())
-    try:
+    """Attach ``tracker`` (default: a fresh one) to the probe for the block."""
+    with probe.attached(tracker if tracker is not None else CausalTracker()) as t:
         yield t
-    finally:
-        uninstall()

@@ -1,7 +1,7 @@
 """``python -m repro trace <workload>`` — capture a cycle-domain trace.
 
 Runs a canned workload (:mod:`repro.obs.workloads`) with full
-observability installed, writes a validated Perfetto-loadable trace,
+observability attached, writes a validated Perfetto-loadable trace,
 prints the cycle profiler's flat + cumulative report, and optionally
 writes the metrics snapshot as JSON.
 
@@ -22,7 +22,8 @@ import argparse
 import json
 import sys
 
-from repro.obs.core import Observability, installed
+from repro import probe
+from repro.obs.core import Observability
 from repro.obs.machine_sources import attach_machine, snapshot_machine
 from repro.obs.profiler import CycleProfiler
 from repro.obs.trace import ALL_CATEGORIES, Tracer, validate_trace
@@ -35,7 +36,7 @@ def run_traced(
     with_tracer: bool = True,
     with_profiler: bool = True,
 ) -> tuple[Observability, dict]:
-    """Run ``workload`` under an installed Observability.
+    """Run ``workload`` under an attached Observability.
 
     Returns ``(obs, summary)``; the machine source is attached after
     boot, so the final metrics snapshot includes the polled hardware
@@ -45,7 +46,7 @@ def run_traced(
     tracer = Tracer(categories=categories) if with_tracer else None
     profiler = CycleProfiler() if with_profiler else None
     obs = Observability(tracer=tracer, profiler=profiler)
-    with installed(obs):
+    with probe.attached(obs):
         summary = run_workload(workload)
         machine = summary["machine"]
         attach_machine(obs, machine)
@@ -81,13 +82,13 @@ def run_traced_serve(
     flow-linked span chain for every request; ``tracker.report()`` is
     the per-stage critical-path breakdown.
     """
-    from repro.obs import causal as obscausal
-    from repro.obs import flight as obsflight
+    from repro.obs.causal import CausalTracker
+    from repro.obs.flight import FlightRecorder
     from repro.serve.cli import run_serve
 
     tracer = Tracer(categories=categories)
     obs = Observability(tracer=tracer)
-    tracker = obscausal.CausalTracker()
+    tracker = CausalTracker()
 
     def on_boot(machine):
         # Bind the tracer to the machine clock as soon as it exists so
@@ -95,21 +96,20 @@ def run_traced_serve(
         tracer.clock = machine.clock
         attach_machine(obs, machine)
 
-    with installed(obs):
-        with obscausal.installed(tracker):
-            with obsflight.installed(obsflight.FlightRecorder()):
-                result = run_serve(
-                    device=device,
-                    backend=backend,
-                    group=group,
-                    group_commit=group_commit,
-                    clients=clients,
-                    txns=txns,
-                    writes=writes,
-                    seed=seed,
-                    plan=plan,
-                    on_boot=on_boot,
-                )
+    with probe.attached(obs):
+        with probe.attached(tracker), probe.attached(FlightRecorder()):
+            result = run_serve(
+                device=device,
+                backend=backend,
+                group=group,
+                group_commit=group_commit,
+                clients=clients,
+                txns=txns,
+                writes=writes,
+                seed=seed,
+                plan=plan,
+                on_boot=on_boot,
+            )
         machine = result["machine"]
         # Captured before finalize closes them: the span stacks still
         # open at the instant the run ended (crash forensics).

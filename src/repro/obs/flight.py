@@ -1,28 +1,22 @@
 """The always-on flight recorder: a bounded ring of recent events.
 
-An aircraft-style black box for the simulated machine: instrumented
-sites append ``(cycle, kind, a, b)`` tuples to a fixed-capacity ring
-buffer, so at any instant — most importantly the instant an injected
+An aircraft-style black box for the simulated machine: a
+fixed-capacity ring buffer of ``(cycle, kind, a, b)`` tuples, so at
+any instant — most importantly the instant an injected
 :class:`~repro.faults.plan.CrashPoint` fires — the last few thousand
 operations leading up to it are available for postmortem analysis
 (:mod:`repro.obs.postmortem`).
 
-Recording is deliberately dumber than tracing: no categories, no
-nesting, no args dicts — one ``deque.append`` of a small tuple per
-event, cheap enough to leave installed for whole serving runs (the
-``bench_obs_overhead.py`` guard holds it to a ≤2% wall budget).  The
-recorder never reads anything but the cycle values handed to it and
-never calls ``compute()``, so a recorded run is cycle- and
-log-record-identical to a bare one.
-
-Gate pattern (the :mod:`repro.faults.plan` / :mod:`repro.obs.core`
-discipline): instrumented sites do::
-
-    fr = flight._ACTIVE
-    if fr is not None:
-        fr.record(cpu.now, "wal.append", kind, nbytes)
-
-so the disabled cost is one global load and identity test.
+The recorder is a subscriber of :mod:`repro.probe`: it keeps the last
+N events of the stream, projected to ``(cycle, kind, a, b)`` — every
+recorded event kind carries its cycle and two small values as its first
+three arguments.  Recording is deliberately dumber than tracing: no
+categories, no nesting, no args dicts — one ``deque.append`` of a small
+tuple per event, cheap enough to leave attached for whole serving runs
+(the ``bench_obs_overhead.py`` guard holds it to a ≤2% wall budget).
+The recorder never reads anything but the values handed to it and never
+calls ``compute()``, so a recorded run is cycle- and log-record-identical
+to a bare one.
 
 Event kinds currently recorded (``a``/``b`` are small ints or short
 strings; the ring holds whatever the site found cheap to pass):
@@ -44,7 +38,7 @@ kind                a, b
 ``rvm.abort``       tid, 0
 ``logger.overload`` drain-complete cycle, 0
 ``fault.hit``       site name, hit count (recorded per site hit
-                    while a :class:`FaultPlan` is installed)
+                    while a :class:`FaultPlan` is attached)
 ``fault.crash``     site name, hit count — always the last event
                     in a crash tail (cycle 0: the power is out)
 ==================  ==============================================
@@ -53,13 +47,31 @@ kind                a, b
 from __future__ import annotations
 
 from collections import deque
-from contextlib import contextmanager
 
 from repro.errors import ConfigError
 
 #: Default ring capacity: enough to hold several transactions' worth of
 #: serve/WAL/device events without the ring costing real memory.
 DEFAULT_CAPACITY = 4096
+
+#: The stream's event kinds the ring keeps (the table above).
+KINDS = (
+    "serve.dispatch",
+    "serve.ack",
+    "wal.append",
+    "wal.append_group",
+    "device.write",
+    "device.buffer",
+    "device.flush",
+    "device.barrier",
+    "rvm.commit",
+    "rvm.flush",
+    "rvm.truncate",
+    "rvm.abort",
+    "logger.overload",
+    "fault.hit",
+    "fault.crash",
+)
 
 
 class FlightRecorder:
@@ -73,10 +85,17 @@ class FlightRecorder:
         #: total events ever recorded (the ring keeps only the tail)
         self.seen = 0
 
-    def record(self, cycle: int, kind: str, a=None, b=None) -> None:
-        """Append one event; evicts the oldest when the ring is full."""
-        self._ring.append((cycle, kind, a, b))
-        self.seen += 1
+    def handlers(self) -> dict:
+        ring = self._ring
+
+        def recorder(kind):
+            def record(cycle, a, b, *_detail) -> None:
+                ring.append((cycle, kind, a, b))
+                self.seen += 1
+
+            return record
+
+        return {kind: recorder(kind) for kind in KINDS}
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -95,43 +114,3 @@ class FlightRecorder:
 
     def clear(self) -> None:
         self._ring.clear()
-
-
-# ----------------------------------------------------------------------
-# The installed recorder (module-global; hot paths check ``is None``)
-# ----------------------------------------------------------------------
-_ACTIVE: FlightRecorder | None = None
-
-
-def active() -> FlightRecorder | None:
-    """The currently installed recorder, or None."""
-    return _ACTIVE
-
-
-def install(recorder: FlightRecorder) -> FlightRecorder:
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise ConfigError("a FlightRecorder is already installed")
-    _ACTIVE = recorder
-    return recorder
-
-
-def uninstall() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-@contextmanager
-def installed(recorder: FlightRecorder | None = None):
-    """Install ``recorder`` (default: a fresh one) for the block."""
-    rec = install(recorder if recorder is not None else FlightRecorder())
-    try:
-        yield rec
-    finally:
-        uninstall()
-
-
-def tail_if_active(limit: int | None = None) -> list | None:
-    """The recorder tail for crash reports; None when disabled."""
-    fr = _ACTIVE
-    return fr.tail(limit) if fr is not None else None

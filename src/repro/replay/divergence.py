@@ -26,7 +26,8 @@ from typing import Callable
 
 from repro.errors import LoggingError
 from repro.hw.records import LogRecord
-from repro.obs.core import Observability, installed
+from repro import probe
+from repro.obs.core import Observability
 from repro.obs.trace import DEFAULT_CATEGORIES, Tracer
 
 #: Trace categories recorded with a reference run: the defaults plus the
@@ -110,7 +111,7 @@ def _execute(workload, trace: bool) -> tuple[str, dict, dict | None]:
         return name, summary, None
     tracer = Tracer(categories=REFERENCE_CATEGORIES)
     obs = Observability(tracer=tracer)
-    with installed(obs):
+    with probe.attached(obs):
         summary = fn()
         machine = summary["machine"]
         tracer.clock = machine.clock

@@ -6,7 +6,7 @@ regions.  Both share the RAM-disk write-ahead log and the TPC-A
 benchmark harness used for Table 3.
 """
 
-from repro.rvm.ramdisk import RamDisk
+from repro.backends.ramdisk import RamDisk
 from repro.rvm.rlvm import CONTROL_BYTES, RLVM, RLVMTransaction, RlvmSegment
 from repro.rvm.rvm import (
     RVM,

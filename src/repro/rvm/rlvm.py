@@ -29,16 +29,13 @@ from dataclasses import dataclass
 
 from repro.errors import LoggingError, TransactionError
 from repro.core.log_reader import RegionLogView
-from repro.faults import plan as faultplan
+from repro import probe
 from repro.core.log_segment import LogSegment
 from repro.core.process import Process
 from repro.core.region import StdRegion
 from repro.core.segment import StdSegment
 from repro.backends.base import LogDevice
 from repro.backends.ramdisk import RamDisk
-from repro.obs import causal
-from repro.obs import core as obscore
-from repro.obs import flight as obsflight
 from repro.rvm.rvm import DEFAULT_DISK_BYTES
 from repro.rvm.wal import WriteAheadLog
 
@@ -97,7 +94,9 @@ class RLVMTransaction:
         self.rlvm = rlvm
         self.tid = tid
         self.active = True
-        self._begin_cycle = rlvm.proc.now if obscore._ACTIVE is not None else 0
+        p = probe._ACTIVE
+        # The transaction-latency histogram's start (commit and abort).
+        self._begin_cycle = rlvm.proc.now if p is not None and "rvm.commit" in p else 0
 
     def write(self, vaddr: int, value: int, size: int = 4) -> None:
         """Store into recoverable memory — an ordinary logged write."""
@@ -243,9 +242,9 @@ class RLVM:
 
     def _commit(self, txn: RLVMTransaction, flush: bool = True) -> None:
         proc = self.proc
-        o = obscore._ACTIVE
-        commit_start = proc.now if o is not None else 0
-        faultplan.hit("rvm.commit.begin", cycle=proc.now)
+        p = probe._ACTIVE
+        commit_start = proc.now if p is not None and "rvm.commit" in p else 0
+        probe.hit("rvm.commit.begin", cycle=proc.now)
         self.machine.sync(proc.cpu)  # wait for in-flight log records
         all_writes = []
         for rseg in self.segments.values():
@@ -262,7 +261,7 @@ class RLVM:
             # overtake a buffered predecessor would replay an older
             # value over a newer one.
             self.flush()
-            faultplan.hit("rvm.commit.log", cycle=proc.now)
+            probe.hit("rvm.commit.log", cycle=proc.now)
             if all_writes:
                 self.wal.append_writes(proc.cpu, txn.tid, all_writes)
             self.wal.append_commit(proc.cpu, txn.tid)
@@ -270,40 +269,31 @@ class RLVM:
             # flush; a synchronous commit may not acknowledge before
             # they are stable (free on the synchronous devices).
             self.disk.flush(proc.cpu)
-            faultplan.hit("rvm.commit.durable", cycle=proc.now)
+            probe.hit("rvm.commit.durable", cycle=proc.now)
         else:
             proc.compute(NO_FLUSH_COMMIT_CYCLES)
-            faultplan.hit("rvm.commit.buffered", cycle=proc.now)
+            probe.hit("rvm.commit.buffered", cycle=proc.now)
             self._pending.append((txn.tid, all_writes))
         self.committed_count += 1
         self._active_txn = None
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(proc.now, "rvm.commit", txn.tid, len(all_writes))
-        if o is not None:
-            o.metrics.inc("rvm.commits")
-            o.metrics.observe("rvm.txn_cycles", proc.now - txn._begin_cycle)
-            args = {"tid": txn.tid, "records": len(all_writes), "flush": flush}
-            ca = causal._ACTIVE
-            if ca is not None:
-                rids = ca.current_rids()
-                if rids:
-                    args["rids"] = list(rids)
-            o.span(
-                "txn",
-                "rlvm.commit",
-                commit_start,
+        if p is not None and "rvm.commit" in p:
+            p["rvm.commit"](
                 proc.now,
+                txn.tid,
+                len(all_writes),
+                commit_start,
                 proc.cpu.index,
-                args=args,
+                "rlvm",
+                flush,
+                txn._begin_cycle,
             )
 
     def _abort(self, txn: RLVMTransaction) -> None:
         """Undo using the log: restore exactly the words that changed."""
         proc = self.proc
-        o = obscore._ACTIVE
-        abort_start = proc.now if o is not None else 0
-        faultplan.hit("rvm.abort", cycle=proc.now)
+        p = probe._ACTIVE
+        abort_start = proc.now if p is not None and "rvm.abort" in p else 0
+        probe.hit("rvm.abort", cycle=proc.now)
         self.machine.sync(proc.cpu)
         for rseg in self.segments.values():
             records = self._txn_records(rseg, txn.tid)
@@ -315,19 +305,16 @@ class RLVM:
             rseg.log.truncate()
         self.aborted_count += 1
         self._active_txn = None
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(proc.now, "rvm.abort", txn.tid, 0)
-        if o is not None:
-            o.metrics.inc("rvm.aborts")
-            o.metrics.observe("rvm.txn_cycles", proc.now - txn._begin_cycle)
-            o.span(
-                "txn",
-                "rlvm.abort",
-                abort_start,
+        if p is not None and "rvm.abort" in p:
+            p["rvm.abort"](
                 proc.now,
+                txn.tid,
+                0,
+                abort_start,
                 proc.cpu.index,
-                args={"tid": txn.tid},
+                "rlvm",
+                txn._begin_cycle,
+                None,
             )
 
     # ------------------------------------------------------------------
@@ -342,33 +329,23 @@ class RLVM:
         """Make all no-flush commits durable in one group I/O."""
         if not self._pending:
             return
-        o = obscore._ACTIVE
-        flush_start = self.proc.now if o is not None else 0
+        p = probe._ACTIVE
+        flush_start = self.proc.now if p is not None and "rvm.flush" in p else 0
         pending = len(self._pending)
-        faultplan.hit("rvm.flush", cycle=self.proc.now)
+        probe.hit("rvm.flush", cycle=self.proc.now)
         self.wal.append_transactions(self.proc.cpu, self._pending)
         # The flush's contract is durability, so a buffering backend
         # must push its batch now (free on the synchronous devices).
         self.disk.flush(self.proc.cpu)
         self._pending.clear()
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(self.proc.now, "rvm.flush", pending, 0)
-        if o is not None:
-            o.metrics.inc("rvm.flushes")
-            args = {"pending_commits": pending}
-            ca = causal._ACTIVE
-            if ca is not None:
-                rids = ca.current_rids()
-                if rids:
-                    args["rids"] = list(rids)
-            o.span(
-                "txn",
-                "rlvm.flush",
-                flush_start,
+        if p is not None and "rvm.flush" in p:
+            p["rvm.flush"](
                 self.proc.now,
+                pending,
+                0,
+                flush_start,
                 self.proc.cpu.index,
-                args=args,
+                "rlvm",
             )
 
     # ------------------------------------------------------------------
@@ -382,9 +359,9 @@ class RLVM:
         crash anywhere in between replays the intact log idempotently.
         """
         proc = self.proc
-        o = obscore._ACTIVE
-        truncate_start = proc.now if o is not None else 0
-        faultplan.hit("rvm.truncate.begin", cycle=proc.now)
+        p = probe._ACTIVE
+        truncate_start = proc.now if p is not None and "rvm.truncate" in p else 0
+        probe.hit("rvm.truncate.begin", cycle=proc.now)
         # Truncation scans the *durable* log (untimed peeks below), so
         # any batch a buffering backend still holds must reach the
         # medium first, and the barrier pins every logged entry stable
@@ -398,24 +375,20 @@ class RLVM:
             rseg = by_id.get(entry.seg_id)
             if rseg is None:
                 continue
-            faultplan.hit("rvm.truncate.apply", cycle=proc.now)
+            probe.hit("rvm.truncate.apply", cycle=proc.now)
             rseg.disk_image[entry.offset : entry.offset + len(entry.data)] = entry.data
             proc.compute(150)
-        faultplan.hit("rvm.truncate.applied", cycle=proc.now)
+        probe.hit("rvm.truncate.applied", cycle=proc.now)
         self.wal.reset(proc.cpu)
         self.disk.flush(proc.cpu)  # the head marker itself must land
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(proc.now, "rvm.truncate", len(entries), 0)
-        if o is not None:
-            o.metrics.inc("rvm.truncates")
-            o.span(
-                "txn",
-                "rlvm.truncate",
-                truncate_start,
+        if p is not None and "rvm.truncate" in p:
+            p["rvm.truncate"](
                 proc.now,
+                len(entries),
+                0,
+                truncate_start,
                 proc.cpu.index,
-                args={"entries_applied": len(entries)},
+                "rlvm",
             )
 
     def maybe_truncate(self) -> bool:

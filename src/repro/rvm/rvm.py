@@ -36,10 +36,7 @@ from dataclasses import dataclass
 
 from repro.errors import TransactionError
 from repro.core.process import Process
-from repro.faults import plan as faultplan
-from repro.obs import causal
-from repro.obs import core as obscore
-from repro.obs import flight as obsflight
+from repro import probe
 from repro.core.region import StdRegion
 from repro.core.segment import StdSegment
 from repro.backends.base import LogDevice
@@ -103,7 +100,9 @@ class Transaction:
         self.tid = tid
         self.active = True
         self._ranges: list[_Range] = []
-        self._begin_cycle = rvm.proc.now if obscore._ACTIVE is not None else 0
+        p = probe._ACTIVE
+        # The transaction-latency histogram's start (commit and abort).
+        self._begin_cycle = rvm.proc.now if p is not None and "rvm.commit" in p else 0
 
     # ------------------------------------------------------------------
     # The Coda API
@@ -117,8 +116,8 @@ class Transaction:
         self._check_active()
         proc = self.rvm.proc
         rseg, offset = self.rvm._locate(vaddr)
-        o = obscore._ACTIVE
-        range_start = proc.now if o is not None else 0
+        p = probe._ACTIVE
+        range_start = proc.now if p is not None and "rvm.set_range" in p else 0
         old = rseg.segment.read_bytes(offset, length)
         self._ranges.append(_Range(rseg, offset, length, old))
         blocks = -(-max(length, 1) // LINE_SIZE)
@@ -127,16 +126,8 @@ class Transaction:
             + UNDO_COPY_PER_BLOCK_CYCLES * blocks
             + REDO_RECORD_CYCLES
         )
-        if o is not None:
-            o.metrics.inc("rvm.set_ranges")
-            o.span(
-                "txn",
-                "rvm.set_range",
-                range_start,
-                proc.now,
-                proc.cpu.index,
-                args={"length": length},
-            )
+        if p is not None and "rvm.set_range" in p:
+            p["rvm.set_range"](proc.now, length, range_start, proc.cpu.index)
 
     def write(self, vaddr: int, value: int, size: int = 4) -> None:
         """Store into recoverable memory; must be covered by a set_range."""
@@ -193,9 +184,9 @@ class Transaction:
         """
         self._check_active()
         proc = self.rvm.proc
-        o = obscore._ACTIVE
-        commit_start = proc.now if o is not None else 0
-        faultplan.hit("rvm.commit.begin", cycle=proc.now)
+        p = probe._ACTIVE
+        commit_start = proc.now if p is not None and "rvm.commit" in p else 0
+        probe.hit("rvm.commit.begin", cycle=proc.now)
         writes = []
         for rng in self._ranges:
             proc.compute(COMMIT_PER_RANGE_CYCLES)
@@ -207,7 +198,7 @@ class Transaction:
             # overtake a buffered predecessor would replay an older
             # value over a newer one.
             self.rvm.flush()
-            faultplan.hit("rvm.commit.log", cycle=proc.now)
+            probe.hit("rvm.commit.log", cycle=proc.now)
             if writes:
                 self.rvm.wal.append_writes(proc.cpu, self.tid, writes)
             self.rvm.wal.append_commit(proc.cpu, self.tid)
@@ -215,42 +206,33 @@ class Transaction:
             # flush; a synchronous commit may not acknowledge before
             # they are stable (free on the synchronous devices).
             self.rvm.disk.flush(proc.cpu)
-            faultplan.hit("rvm.commit.durable", cycle=proc.now)
+            probe.hit("rvm.commit.durable", cycle=proc.now)
         else:
             proc.compute(NO_FLUSH_COMMIT_CYCLES)
-            faultplan.hit("rvm.commit.buffered", cycle=proc.now)
+            probe.hit("rvm.commit.buffered", cycle=proc.now)
             self.rvm._pending.append((self.tid, writes))
         self.active = False
         self.rvm.committed_count += 1
         self.rvm._txn_finished(self)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(proc.now, "rvm.commit", self.tid, len(writes))
-        if o is not None:
-            o.metrics.inc("rvm.commits")
-            o.metrics.observe("rvm.txn_cycles", proc.now - self._begin_cycle)
-            args = {"tid": self.tid, "ranges": len(writes), "flush": flush}
-            ca = causal._ACTIVE
-            if ca is not None:
-                rids = ca.current_rids()
-                if rids:
-                    args["rids"] = list(rids)
-            o.span(
-                "txn",
-                "rvm.commit",
-                commit_start,
+        if p is not None and "rvm.commit" in p:
+            p["rvm.commit"](
                 proc.now,
+                self.tid,
+                len(writes),
+                commit_start,
                 proc.cpu.index,
-                args=args,
+                "rvm",
+                flush,
+                self._begin_cycle,
             )
 
     def abort(self) -> None:
         """Restore every declared range to its pre-transaction contents."""
         self._check_active()
         proc = self.rvm.proc
-        o = obscore._ACTIVE
-        abort_start = proc.now if o is not None else 0
-        faultplan.hit("rvm.abort", cycle=proc.now)
+        p = probe._ACTIVE
+        abort_start = proc.now if p is not None and "rvm.abort" in p else 0
+        probe.hit("rvm.abort", cycle=proc.now)
         for rng in reversed(self._ranges):
             rng.rseg.segment.write_bytes(rng.offset, rng.old_data)
             blocks = -(-max(rng.length, 1) // LINE_SIZE)
@@ -258,19 +240,16 @@ class Transaction:
         self.active = False
         self.rvm.aborted_count += 1
         self.rvm._txn_finished(self)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(proc.now, "rvm.abort", self.tid, 0)
-        if o is not None:
-            o.metrics.inc("rvm.aborts")
-            o.metrics.observe("rvm.txn_cycles", proc.now - self._begin_cycle)
-            o.span(
-                "txn",
-                "rvm.abort",
-                abort_start,
+        if p is not None and "rvm.abort" in p:
+            p["rvm.abort"](
                 proc.now,
+                self.tid,
+                0,
+                abort_start,
                 proc.cpu.index,
-                args={"tid": self.tid, "ranges": len(self._ranges)},
+                "rvm",
+                self._begin_cycle,
+                len(self._ranges),
             )
 
     # ------------------------------------------------------------------
@@ -393,33 +372,23 @@ class RVM:
         """Make all no-flush commits durable in one group I/O."""
         if not self._pending:
             return
-        o = obscore._ACTIVE
-        flush_start = self.proc.now if o is not None else 0
+        p = probe._ACTIVE
+        flush_start = self.proc.now if p is not None and "rvm.flush" in p else 0
         pending = len(self._pending)
-        faultplan.hit("rvm.flush", cycle=self.proc.now)
+        probe.hit("rvm.flush", cycle=self.proc.now)
         self.wal.append_transactions(self.proc.cpu, self._pending)
         # The flush's contract is durability, so a buffering backend
         # must push its batch now (free on the synchronous devices).
         self.disk.flush(self.proc.cpu)
         self._pending.clear()
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(self.proc.now, "rvm.flush", pending, 0)
-        if o is not None:
-            o.metrics.inc("rvm.flushes")
-            args = {"pending_commits": pending}
-            ca = causal._ACTIVE
-            if ca is not None:
-                rids = ca.current_rids()
-                if rids:
-                    args["rids"] = list(rids)
-            o.span(
-                "txn",
-                "rvm.flush",
-                flush_start,
+        if p is not None and "rvm.flush" in p:
+            p["rvm.flush"](
                 self.proc.now,
+                pending,
+                0,
+                flush_start,
                 self.proc.cpu.index,
-                args=args,
+                "rvm",
             )
 
     # ------------------------------------------------------------------
@@ -439,9 +408,9 @@ class RVM:
         transaction.
         """
         proc = self.proc
-        o = obscore._ACTIVE
-        truncate_start = proc.now if o is not None else 0
-        faultplan.hit("rvm.truncate.begin", cycle=proc.now)
+        p = probe._ACTIVE
+        truncate_start = proc.now if p is not None and "rvm.truncate" in p else 0
+        probe.hit("rvm.truncate.begin", cycle=proc.now)
         # Truncation scans the *durable* log (untimed peeks below), so
         # any batch a buffering backend still holds must reach the
         # medium first, and the barrier pins every logged entry stable
@@ -456,25 +425,21 @@ class RVM:
             rseg = by_id.get(entry.seg_id)
             if rseg is None:
                 continue
-            faultplan.hit("rvm.truncate.apply", cycle=proc.now)
+            probe.hit("rvm.truncate.apply", cycle=proc.now)
             rseg.disk_image[entry.offset : entry.offset + len(entry.data)] = entry.data
             proc.compute(TRUNCATE_PER_RANGE_CYCLES)
-        faultplan.hit("rvm.truncate.applied", cycle=proc.now)
+        probe.hit("rvm.truncate.applied", cycle=proc.now)
         # Persist the new log head (one I/O), then reclaim the space.
         self.wal.reset(proc.cpu)
         self.disk.flush(proc.cpu)  # the head marker itself must land
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(proc.now, "rvm.truncate", len(entries), 0)
-        if o is not None:
-            o.metrics.inc("rvm.truncates")
-            o.span(
-                "txn",
-                "rvm.truncate",
-                truncate_start,
+        if p is not None and "rvm.truncate" in p:
+            p["rvm.truncate"](
                 proc.now,
+                len(entries),
+                0,
+                truncate_start,
                 proc.cpu.index,
-                args={"entries_applied": len(entries)},
+                "rvm",
             )
 
     def maybe_truncate(self) -> bool:

@@ -40,13 +40,10 @@ import zlib
 from dataclasses import dataclass
 from typing import Iterator
 
+from repro import probe
 from repro.backends.base import LogDevice
 from repro.errors import RecoveryError
-from repro.faults import plan as faultplan
 from repro.hw.cpu import CPU
-from repro.obs import causal
-from repro.obs import core as obscore
-from repro.obs import flight as obsflight
 
 _HEADER = struct.Struct("<IBI")
 _TID = struct.Struct("<I")
@@ -97,42 +94,26 @@ class WriteAheadLog:
         frame = _HEADER.pack(len(payload), kind, zlib.crc32(payload)) + payload
         if self.tail + len(frame) + len(_TERMINATOR) > self.capacity:
             raise RecoveryError("write-ahead log is full; truncate first")
-        if faultplan._ACTIVE is not None:
+        p = probe._ACTIVE
+        if p is not None and "fault.site" in p:
             # Torn mode: the entry header reaches the disk, the payload
             # does not — the classic crash between header and payload.
             base = self.base + self.tail
-            faultplan.hit(
+            probe.hit(
                 "wal.append",
                 cycle=cpu.now,
                 partial=lambda: self.disk.poke(base, frame[: _HEADER.size]),
             )
-        o = obscore._ACTIVE
-        start_cycle = cpu.now if o is not None else 0
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.flow_step(cpu.now, cpu.index)
-            ca.stage_enter("wal_append", cpu.now)
+        if p is not None and "wal.append.begin" in p:
+            p["wal.append.begin"](cpu)
+        start = cpu.now if p is not None and "wal.append" in p else 0
         self.disk.write(cpu, self.base + self.tail, frame + _TERMINATOR)
         self.tail += len(frame)
         self.appends += 1
-        if ca is not None:
-            ca.stage_exit(cpu.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(cpu.now, "wal.append", kind.name, len(frame))
-        if o is not None:
+        if p is not None and "wal.append" in p:
             # Emitted only after the write lands, so a CrashPoint raised
-            # inside the fault hook never leaves a dangling span.
-            o.metrics.inc("rvm.wal.appends")
-            o.metrics.inc("rvm.wal.bytes", len(frame))
-            o.span(
-                "wal",
-                "wal.append",
-                start_cycle,
-                cpu.now,
-                cpu.index,
-                args={"kind": kind.name, "bytes": len(frame)},
-            )
+            # by a fault plan never leaves a dangling span.
+            p["wal.append"](cpu.now, kind.name, len(frame), start, cpu.index)
 
     def append_begin(self, cpu: CPU, tid: int) -> None:
         self._append(cpu, EntryKind.BEGIN, _TID.pack(tid))
@@ -170,11 +151,8 @@ class WriteAheadLog:
         frames = b"".join(parts)
         if self.tail + len(frames) + len(_TERMINATOR) > self.capacity:
             raise RecoveryError("write-ahead log is full; truncate first")
-        self._group_write(cpu, frames, first_len)
+        self._group_write(cpu, frames, first_len, len(writes))
         self.appends += 1
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.observe("rvm.wal.group_entries", len(writes))
 
     def append_transactions(
         self, cpu: CPU, txns: list[tuple[int, list[tuple[int, int, bytes]]]]
@@ -206,49 +184,37 @@ class WriteAheadLog:
             return
         if self.tail + len(frames) + len(_TERMINATOR) > self.capacity:
             raise RecoveryError("write-ahead log is full; truncate first")
-        self._group_write(cpu, frames, first_txn_len)
+        # Every entry is two parts: its header and its payload.
+        self._group_write(cpu, frames, first_txn_len, len(parts) // 2)
         self.appends += 1
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.observe(
-                "rvm.wal.group_entries",
-                sum(len(writes) + 1 for _tid, writes in txns),
-            )
 
-    def _group_write(self, cpu: CPU, frames: bytes, first_len: int) -> None:
-        """One group I/O for ``frames``; torn mode keeps only the first
-        ``first_len`` bytes (a crash mid-way through the group write)."""
-        if faultplan._ACTIVE is not None:
+    def _group_write(
+        self, cpu: CPU, frames: bytes, first_len: int, entries: int
+    ) -> None:
+        """One group I/O of ``entries`` entries in ``frames``; torn mode
+        keeps only the first ``first_len`` bytes (a crash mid-way through
+        the group write)."""
+        p = probe._ACTIVE
+        if p is not None and "fault.site" in p:
             base = self.base + self.tail
-            faultplan.hit(
+            probe.hit(
                 "wal.append_group",
                 cycle=cpu.now,
                 partial=lambda: self.disk.poke(base, frames[:first_len]),
             )
-        o = obscore._ACTIVE
-        start_cycle = cpu.now if o is not None else 0
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.flow_step(cpu.now, cpu.index)
-            ca.stage_enter("wal_append", cpu.now)
+        if p is not None and "wal.append_group.begin" in p:
+            p["wal.append_group.begin"](cpu)
+        start = cpu.now if p is not None and "wal.append_group" in p else 0
         self.disk.write(cpu, self.base + self.tail, frames + _TERMINATOR)
         self.tail += len(frames)
-        if ca is not None:
-            ca.stage_exit(cpu.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(cpu.now, "wal.append_group", len(frames), first_len)
-        if o is not None:
-            o.metrics.inc("rvm.wal.appends")
-            o.metrics.inc("rvm.wal.bytes", len(frames))
-            o.metrics.observe("rvm.wal.group_bytes", len(frames))
-            o.span(
-                "wal",
-                "wal.append_group",
-                start_cycle,
+        if p is not None and "wal.append_group" in p:
+            p["wal.append_group"](
                 cpu.now,
+                len(frames),
+                first_len,
+                start,
                 cpu.index,
-                args={"bytes": len(frames)},
+                entries,
             )
 
     def reset(self, cpu: CPU | None = None) -> None:
@@ -266,7 +232,7 @@ class WriteAheadLog:
         """
         marker = min(_HEAD_MARKER_BYTES, self.capacity)
         if cpu is not None:
-            faultplan.hit("wal.reset", cycle=cpu.now)
+            probe.hit("wal.reset", cycle=cpu.now)
             self.disk.write(cpu, self.base, b"\x00" * marker)
         else:
             self.disk.poke(self.base, b"\x00" * marker)

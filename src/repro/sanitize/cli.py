@@ -212,13 +212,14 @@ def race_main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
+    from repro import probe
     from repro.obs.workloads import run_workload
     from repro.sanitize import race
 
     failures = 0
     for name in args.workloads:
         detector = race.LogRaceDetector()
-        with race.installed(detector):
+        with probe.attached(detector):
             run_workload(name)
         print(f"{name}: {detector.summary()}")
         if detector.races_seen:

@@ -3,16 +3,23 @@
 Two checks close the bug class PR 9 exposed (a mid-dispatch open
 span):
 
-**(a) Stage-span balance.**  Counting ``stage_enter``/``device_enter``
-as +1 and ``stage_exit`` as −1, every path that completes *normally*
-must end with delta 0.  Paths that leave by exception are exempt —
-a CrashPoint abandoning an open span is intentional (the span is the
-postmortem's record of what the server was doing), and ``_ACTIVE``
-gates make the events conditional, so the analysis enumerates the
-2^G combinations of a function's gate locals (``ca = causal._ACTIVE``
-and friends) and prunes ``if ca is not None:`` branches per
-combination — otherwise two separately-gated enter/exit blocks would
-fabricate impossible unbalanced paths.  Transient negative deltas are
+**(a) Stage-span balance.**  Counting stage entries as +1 and stage
+exits as −1, every path that completes *normally* must end with delta
+0.  An entry is a ``stage_enter``/``device_enter`` call or a probe
+event that opens a stage (``p["<kind>.begin"](...)`` for a kind in
+:data:`repro.probe.STAGED_KINDS`, or ``p["stage.enter"](...)``); an
+exit is a ``stage_exit`` call or the matching post-effect event
+(``p["<kind>"](...)``, ``p["stage.exit"](...)``).  Paths that leave by
+exception are exempt — a CrashPoint abandoning an open span is
+intentional (the span is the postmortem's record of what the server
+was doing).  The probe gate and its routes make the events
+conditional, so the analysis enumerates every valuation of a
+function's gate locals (``p = probe._ACTIVE``) and of the stage
+families it tests (``"wal.append.begin" in p`` and ``"wal.append" in
+p`` are one family: the causal tracker routes both or neither), and
+prunes ``if p is not None and "<kind>" in p:`` branches per valuation —
+otherwise two separately-gated enter/exit blocks would fabricate
+impossible unbalanced paths.  Transient negative deltas are
 allowed (``_serve_op`` legally exits the dispatch stage before
 re-entering ``queue_wait`` when parking a begin).
 
@@ -24,7 +31,8 @@ protocol; the rule checks its clients.
 **(b) Gate purity.**  The observability contract since PR 3 is that a
 traced run is cycle- and log-identical to a bare one, which is only
 true if ``_ACTIVE`` gates never change behaviour: inside an
-``if <gate> is not None:`` body, control-flow statements (``return``,
+``if <gate> is not None:`` body (or ``if <gate> is not None and
+"<kind>" in <gate>:``), control-flow statements (``return``,
 ``raise``, ``break``, ``continue``) and attribute stores are
 forbidden — instrumentation may call and bind locals, nothing more.
 This is also what makes the gated *fallback* path equivalent: if the
@@ -38,6 +46,7 @@ import ast
 from itertools import product
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
+from repro.probe import STAGED_KINDS
 from repro.sanitize.engine import Finding
 from repro.sanitize.deep.cfg import CFG, EXC, FALSE, TRUE, Node, build_cfg, calls_at
 from repro.sanitize.deep.project import FunctionInfo, Project
@@ -47,9 +56,15 @@ RULE_ID = "LVM103"
 ENTER_CALLS = frozenset({"stage_enter", "device_enter"})
 EXIT_CALLS = frozenset({"stage_exit"})
 
-#: Beyond this many gates, combinations are sampled (all-None and
-#: all-active), not enumerated.
-MAX_GATES = 5
+#: Probe event kind -> (stage delta, family).  A subscriber routes a
+#: family's entry and exit together (the causal tracker takes both
+#: ``wal.append.begin`` and ``wal.append``, or neither).
+STAGE_EVENTS: Dict[str, Tuple[int, str]] = {
+    **{f"{kind}.begin": (1, kind) for kind in STAGED_KINDS},
+    **{kind: (-1, kind) for kind in STAGED_KINDS},
+    "stage.enter": (1, "stage"),
+    "stage.exit": (-1, "stage"),
+}
 
 #: Delta tracking range; a loop pushing the delta past this is
 #: reported as unbounded growth.
@@ -104,15 +119,77 @@ def _gate_test(test: ast.expr, gates: Set[str]) -> Optional[Tuple[str, bool]]:
     return None
 
 
+def _route_test(test: ast.AST, gates: Set[str]) -> Optional[str]:
+    """The family key of a ``"<kind>" in <gate>`` test on a stage kind."""
+    if (
+        isinstance(test, ast.Compare)
+        and len(test.ops) == 1
+        and isinstance(test.ops[0], ast.In)
+        and isinstance(test.left, ast.Constant)
+        and test.left.value in STAGE_EVENTS
+        and isinstance(test.comparators[0], ast.Name)
+        and test.comparators[0].id in gates
+    ):
+        return f"{test.comparators[0].id}:{STAGE_EVENTS[test.left.value][1]}"
+    return None
+
+
+def route_families(func_node: ast.AST, gates: Set[str]) -> Set[str]:
+    """Family keys of the stage-route tests in this function."""
+    keys = (_route_test(node, gates) for node in ast.walk(func_node))
+    return {key for key in keys if key is not None}
+
+
+def _eval_test(
+    test: ast.expr, gates: Set[str], combo: Dict[str, bool]
+) -> Optional[bool]:
+    """The test's value under ``combo``, or None when it depends on
+    anything but the gates and stage routes."""
+    gate = _gate_test(test, gates)
+    if gate is not None:
+        return combo[gate[0]] == gate[1]
+    key = _route_test(test, gates)
+    if key is not None:
+        return combo[key]
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And):
+        values = [_eval_test(value, gates, combo) for value in test.values]
+        if False in values:
+            return False
+        return True if all(values) else None
+    return None
+
+
+def _route_guard(test: ast.expr, gates: Set[str]) -> Optional[Tuple[str, bool]]:
+    """The gate of ``g is not None and "<kind>" in g``: the body runs
+    only with the gate active, so it is held to gate purity."""
+    if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And) and len(test.values) == 2:
+        gate = _gate_test(test.values[0], gates)
+        route = test.values[1]
+        if gate and gate[1] and isinstance(route, ast.Compare) and isinstance(route.ops[0], ast.In):
+            return gate
+    return None
+
+
+def _call_delta(call: ast.Call) -> int:
+    """+1 for a stage entry, -1 for a stage exit, else 0."""
+    func = call.func
+    if isinstance(func, ast.Subscript):
+        kind = func.slice
+        if isinstance(kind, ast.Constant) and kind.value in STAGE_EVENTS:
+            return STAGE_EVENTS[kind.value][0]
+        return 0
+    if not isinstance(func, ast.Attribute):
+        return 0
+    name = func.attr
+    if name in ENTER_CALLS:
+        return 1
+    if name in EXIT_CALLS:
+        return -1
+    return 0
+
+
 def _node_delta(node: Node) -> int:
-    delta = 0
-    for call in calls_at(node):
-        if isinstance(call.func, ast.Attribute):
-            if call.func.attr in ENTER_CALLS:
-                delta += 1
-            elif call.func.attr in EXIT_CALLS:
-                delta -= 1
-    return delta
+    return sum(_call_delta(call) for call in calls_at(node))
 
 
 class SpanAnalysis:
@@ -136,27 +213,24 @@ class SpanAnalysis:
     # ------------------------------------------------------------------
     def _check_balance(self, info: FunctionInfo) -> None:
         has_events = any(
-            isinstance(node, ast.Attribute)
-            and node.attr in (ENTER_CALLS | EXIT_CALLS)
+            isinstance(node, ast.Call) and _call_delta(node)
             for node in ast.walk(info.node)
         )
         if not has_events:
             return
         cfg = build_cfg(info.node)
-        gates = sorted(gate_locals(info.node))
-        if len(gates) > MAX_GATES:
-            combos = [
-                dict.fromkeys(gates, False),
-                dict.fromkeys(gates, True),
-            ]
-        else:
-            combos = [
-                dict(zip(gates, values))
-                for values in product((False, True), repeat=len(gates))
-            ]
+        gates = gate_locals(info.node)
+        keys = sorted(gates | route_families(info.node, gates))
+        combos = [
+            combo
+            for values in product((False, True), repeat=len(keys))
+            for combo in [dict(zip(keys, values))]
+            # A route exists only while its probe is attached.
+            if all(combo[key.split(":")[0]] for key in keys if ":" in key and combo[key])
+        ]
         clean = True
         for combo in combos:
-            clean &= self._check_combo(info, cfg, set(gates), combo)
+            clean &= self._check_combo(info, cfg, gates, combo)
         if clean:
             self.facts.append(f"lvm103 span-balanced {info.qualname}")
 
@@ -189,9 +263,7 @@ class SpanAnalysis:
             out_deltas = frozenset(out)
             branch: Optional[bool] = None
             if isinstance(node.stmt, (ast.If, ast.While)):
-                gate = _gate_test(node.stmt.test, gates)
-                if gate is not None:
-                    branch = combo[gate[0]]
+                branch = _eval_test(node.stmt.test, gates, combo)
             for succ_id, kind in node.succs:
                 if branch is True and kind == FALSE:
                     continue
@@ -223,7 +295,7 @@ class SpanAnalysis:
                 info,
                 info.node,
                 f"a normally-completing path ends with stage span delta "
-                f"{bad} (every stage_enter/device_enter needs a stage_exit "
+                f"{bad} (every stage entry needs a stage exit "
                 f"on all non-exception paths; gate valuation "
                 f"{self._combo_repr(combo)})",
             )
@@ -258,7 +330,7 @@ class SpanAnalysis:
                 test, body = node.test, node.body
             if test is None:
                 continue
-            gate = _gate_test(test, gates)
+            gate = _gate_test(test, gates) or _route_guard(test, gates)
             direct = (
                 isinstance(test, ast.Compare)
                 and isinstance(test.left, ast.Attribute)

@@ -22,18 +22,18 @@ per byte):
   send/receive is a release/acquire pair, and a global quiesce (or
   ``suspend_all_until``) joins every clock.
 
-Installation follows the :mod:`repro.faults.plan` gate pattern exactly:
-hot paths read the module global ``_ACTIVE`` once and pay a single
-``is None`` check when the sanitizer is off, so a disabled run is
-cycle- and log-record-identical to an unhooked build (guarded by
+The detector is a subscriber of the :mod:`repro.probe` stream
+(``logged.run``, ``msg.send``, ``msg.recv`` and ``sync.global``
+events): hot paths pay the probe's single ``is None`` check when
+nothing is attached, so a disabled run is cycle- and
+log-record-identical to an unhooked build (guarded by
 ``tests/sanitize/test_race.py``).
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.sanitize.vclock import VectorClock
 
@@ -102,7 +102,15 @@ class LogRaceDetector:
         return clock
 
     # ------------------------------------------------------------------
-    # event hooks (called from hw/core when a detector is installed)
+    # probe events
+
+    def handlers(self) -> dict:
+        return {
+            "logged.run": self.logged_run,
+            "msg.send": self.msg_send,
+            "msg.recv": self.msg_recv,
+            "sync.global": self.global_sync,
+        }
 
     def logged_run(self, cpu: int, paddr: int, nbytes: int, cycle: int) -> None:
         """A CPU wrote ``nbytes`` starting at ``paddr`` on a logged page."""
@@ -167,36 +175,3 @@ class LogRaceDetector:
         if self.races_seen > len(self.reports):
             lines.append(f"  ... {self.races_seen - len(self.reports)} more")
         return "\n".join(lines)
-
-
-#: The installed detector, or None.  Hot paths read this exactly once
-#: per event and skip all work when it is None (same gate pattern as
-#: repro.faults.plan._ACTIVE / repro.obs.core._ACTIVE).
-_ACTIVE: Optional[LogRaceDetector] = None
-
-
-def active() -> Optional[LogRaceDetector]:
-    return _ACTIVE
-
-
-def install(detector: LogRaceDetector) -> LogRaceDetector:
-    """Install ``detector`` as the process-wide race sanitizer."""
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise RuntimeError("a LogRaceDetector is already installed")
-    _ACTIVE = detector
-    return detector
-
-
-def uninstall() -> None:
-    global _ACTIVE
-    _ACTIVE = None
-
-
-@contextmanager
-def installed(detector: LogRaceDetector) -> Iterator[LogRaceDetector]:
-    install(detector)
-    try:
-        yield detector
-    finally:
-        uninstall()

@@ -271,9 +271,9 @@ class GatePatternRule(Rule):
     rule_id = "LVM004"
     title = "_ACTIVE gates are a single `is None` check"
     rationale = (
-        "Instrumentation globals (faults.plan._ACTIVE, obs.core._ACTIVE, "
-        "sanitize.race._ACTIVE) gate hot paths with exactly one "
-        "`is None` identity check.  Truthiness tests or == None change "
+        "The one instrumentation global, repro.probe._ACTIVE, gates hot "
+        "paths with exactly one `is None` identity check.  Truthiness "
+        "tests or == None change "
         "semantics for falsy objects, and member access outside an "
         "`is not None` guard defeats the single-check discipline."
     )
@@ -446,10 +446,6 @@ def _has_fallback_guard(func: ast.AST) -> bool:
             return True
         if isinstance(sub, ast.Name) and sub.id == "_ACTIVE":
             return True
-        if isinstance(sub, ast.Call):
-            name = _call_name(sub.func)
-            if name == "trace_detail_active":
-                return True
     return False
 
 
@@ -466,10 +462,10 @@ class FastPathFallbackRule(Rule):
     rationale = (
         "Fused fast paths (*_fast and friends) skip per-event "
         "instrumentation, so either the function or every one of its "
-        "same-module callers must guard on the instrumentation gates "
-        "(_ACTIVE / trace_detail_active) and fall back to the generic "
-        "path — otherwise fault plans and detailed tracing silently "
-        "miss events."
+        "same-module callers must read the probe gate (probe._ACTIVE, "
+        "whose per_record flag marks an attached tracer or fault plan) "
+        "and fall back to the generic path — otherwise fault plans and "
+        "detailed tracing silently miss events."
     )
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
@@ -494,7 +490,7 @@ class FastPathFallbackRule(Rule):
                 ctx,
                 func,
                 f"fused fast path {func.name}() has no reachable "
-                "generic-fallback guard (_ACTIVE / trace_detail_active) "
+                "generic-fallback guard (probe._ACTIVE) "
                 "here or in its callers",
             )
 

@@ -24,8 +24,6 @@ class Request:
     future: asyncio.Future = field(default=None, repr=False)
     #: deterministic request id minted by ``TxnServer.submit``
     rid: int | None = None
-    #: causal trace context (``repro.obs.causal``) riding along, if any
-    ctx: object = field(default=None, repr=False)
 
 
 class Channel:
@@ -34,10 +32,10 @@ class Channel:
     def __init__(self) -> None:
         self._queue: asyncio.Queue[Request] = asyncio.Queue()
 
-    async def call(self, op: str, client: int, *payload, rid=None, ctx=None):
+    async def call(self, op: str, client: int, *payload, rid=None):
         """Submit a request and await the server's response."""
         future = asyncio.get_running_loop().create_future()
-        self._queue.put_nowait(Request(op, client, payload, future, rid, ctx))
+        self._queue.put_nowait(Request(op, client, payload, future, rid))
         return await future
 
     async def next_request(self) -> Request:

@@ -26,15 +26,13 @@ import asyncio
 import random
 import sys
 
+from repro import probe
 from repro.backends import BACKENDS, make_backend
 from repro.core.context import boot, set_current_machine
-from repro.faults import plan as faultplan
 from repro.faults.checker import capture_snapshot
 from repro.faults.plan import CrashSpec, FaultPlan
 from repro.hw.params import MachineConfig
-from repro.obs import causal
-from repro.obs import core as obscore
-from repro.obs import flight as obsflight
+from repro.obs.causal import CausalTracker
 from repro.obs.core import Observability
 from repro.obs.flight import FlightRecorder
 from repro.rvm.rlvm import RLVM
@@ -94,7 +92,7 @@ def run_serve(
     """Boot a machine, serve the seeded workload, and tear down.
 
     Runs under whatever obs/causal/flight instruments the caller has
-    installed.  ``plan`` (optional) is installed for the run with its
+    attached.  ``plan`` (optional) is attached for the run with its
     snapshot source wired to the library, so an injected crash carries
     a durable snapshot.  ``on_boot(machine)`` runs right after boot —
     the trace CLI uses it to bind its tracer to the machine clock.
@@ -128,7 +126,7 @@ def run_serve(
         error = None
         if plan is not None:
             plan.snapshot_source(lambda: capture_snapshot(library))
-            with faultplan.installed(plan):
+            with probe.attached(plan):
                 error = asyncio.run(_drive(server, clients, txns, writes, seed))
         else:
             error = asyncio.run(_drive(server, clients, txns, writes, seed))
@@ -196,8 +194,8 @@ def main(argv=None) -> int:
             seed=args.seed,
             crash=CrashSpec(args.crash_site, args.crash_nth, args.crash_mode),  # lvm-san: ignore[LVM005]
         )
-    with obscore.installed(Observability()) as obs:
-        with causal.installed(), obsflight.installed(FlightRecorder()):
+    with probe.attached(Observability()) as obs:
+        with probe.attached(CausalTracker()), probe.attached(FlightRecorder()):
             result = run_serve(
                 device=args.device,
                 backend=args.backend,

@@ -14,8 +14,10 @@ requests from a :class:`~repro.serve.channel.Channel`:
   or when the request queue drains (no point making later arrivals
   wait for a batch that may never fill).  This is classic group
   commit: the client's await returns only once its commit is stable;
-* commit latency — request receipt to durability acknowledgement, in
-  simulated cycles — lands in per-backend ``obs`` histograms
+* every request's life — submit, dispatch, park, ack — is reported on
+  the :mod:`repro.probe` stream, where the causal tracker follows it and
+  commit latency (request receipt to durability acknowledgement, in
+  simulated cycles) lands in per-backend ``obs`` histograms
   (``serve.commit_cycles`` and ``serve.commit_cycles.<backend>``);
 * an injected :class:`~repro.faults.plan.CrashPoint` mid-serve fails
   every outstanding future with :class:`ServeCrashed`; the exception
@@ -27,12 +29,10 @@ from __future__ import annotations
 
 from collections import deque
 
+from repro import probe
 from repro.analytics.core import PageTouchAttribution
 from repro.errors import LVMError
 from repro.faults.plan import CrashPoint
-from repro.obs import causal
-from repro.obs import core as obscore
-from repro.obs import flight as obsflight
 from repro.rvm.rvm import RVM
 from repro.serve.channel import Channel, Request
 
@@ -100,18 +100,16 @@ class TxnServer:
         """Mint a deterministic request id and submit over the channel.
 
         The id is minted here — not in the client — so ids order by
-        submission regardless of which client coroutine runs; when a
-        :class:`~repro.obs.causal.CausalTracker` is installed a
-        :class:`~repro.obs.causal.TraceContext` rides along with the
-        request and the client's flow event opens now, at submit time.
+        submission regardless of which client coroutine runs; the
+        ``serve.submit`` event opens the request's causal trace (and the
+        client's flow event) now, at submit time.
         """
         rid = self._next_rid
         self._next_rid += 1
-        ca = causal._ACTIVE
-        ctx = None
-        if ca is not None:
-            ctx = ca.open_request(rid, client, op, self._proc.now)
-        return await self.channel.call(op, client, *payload, rid=rid, ctx=ctx)
+        p = probe._ACTIVE
+        if p is not None and "serve.submit" in p:
+            p["serve.submit"](self._proc.now, rid, client, op)
+        return await self.channel.call(op, client, *payload, rid=rid)
 
     # ------------------------------------------------------------------
     # Serving loop
@@ -146,37 +144,33 @@ class TxnServer:
 
     def _dispatch(self, request: Request) -> bool:
         """Serve one request; False ends the loop (shutdown)."""
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.dispatch(request.ctx, self._proc.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(self._proc.now, "serve.dispatch", request.op, request.rid)
+        p = probe._ACTIVE
+        if p is not None and "serve.dispatch" in p:
+            p["serve.dispatch"](self._proc.now, request.op, request.rid)
         try:
             result = self._serve_op(request)
         except BaseException:
             # Crash mid-dispatch: detach the tracker but leave the
             # dispatch span open — it is the postmortem's record of
             # what the server was doing when it died.
-            ca = causal._ACTIVE
-            if ca is not None:
-                ca.dispatch_abandoned()
+            if p is not None and "serve.abandon" in p:
+                p["serve.abandon"]()
             raise
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.dispatch_done(self._proc.now)
+        if p is not None and "serve.dispatch_done" in p:
+            p["serve.dispatch_done"](self._proc.now)
         return result
 
     def _serve_op(self, request: Request) -> bool:
         op = request.op
         if op == "begin":
             if self._active_txn is not None:
-                ctx = request.ctx
-                if ctx is not None:
-                    # Parked is queueing, not library work: reopen the
-                    # queue_wait stage until the grant.
-                    ctx.stage_exit(self._proc.now)
-                    ctx.stage_enter("queue_wait", self._proc.now)
+                # Parked is queueing, not library work: reopen the
+                # queue_wait stage until the grant.
+                p = probe._ACTIVE
+                if p is not None and "stage.exit" in p:
+                    p["stage.exit"](self._proc.now)
+                if p is not None and "stage.enter" in p:
+                    p["stage.enter"](self._proc.now, "queue_wait")
                 self._parked.append(request)
             else:
                 self._grant(request)
@@ -197,10 +191,9 @@ class TxnServer:
         elif op == "shutdown":
             if self._batch:
                 self._flush_batch()
-            o = obscore._ACTIVE
-            if o is not None:
-                for client, wss in self.client_wss().items():
-                    o.metrics.set_gauge(f"serve.client_wss.{client}", wss)
+            p = probe._ACTIVE
+            if p is not None and "serve.client_wss" in p:
+                p["serve.client_wss"](self.client_wss())
             self._resolve(request, None)
             return False
         else:
@@ -212,9 +205,9 @@ class TxnServer:
     # ------------------------------------------------------------------
     def _resolve(self, request: Request, value) -> None:
         """Resolve a non-commit request, closing its trace context."""
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.finish(request.ctx, self._proc.now)
+        p = probe._ACTIVE
+        if p is not None and "serve.resolve" in p:
+            p["serve.resolve"](self._proc.now, request.rid)
         request.future.set_result(value)
 
     def _grant(self, request: Request) -> None:
@@ -237,18 +230,18 @@ class TxnServer:
             txn.commit(flush=True)
             self._finish_txn()
             self._ack(txn.tid, request, start_cycle)
-            ca = causal._ACTIVE
-            if ca is not None:
+            p = probe._ACTIVE
+            if p is not None and "serve.detach" in p:
                 # The request is acked: truncation work below belongs to
                 # the server, not to the finished context.
-                ca.dispatch_done()
+                p["serve.detach"]()
             self._maybe_truncate()
         else:
             txn.commit(flush=False)
             self._finish_txn()
-            ca = causal._ACTIVE
-            if ca is not None:
-                ca.park(request.ctx, self._proc.now)
+            p = probe._ACTIVE
+            if p is not None and "serve.park" in p:
+                p["serve.park"](self._proc.now, request.rid)
             self._batch.append((txn.tid, request, start_cycle))
             if len(self._batch) >= self.group_size:
                 self._flush_batch()
@@ -261,16 +254,16 @@ class TxnServer:
         :meth:`_fail_outstanding` — those commits were never
         acknowledged, so their clients must see the failure.
         """
-        ca = causal._ACTIVE
-        if ca is not None:
-            contexts = [request.ctx for _tid, request, _start in self._batch]
-            ca.adopt_batch(contexts, self._proc.now)
+        p = probe._ACTIVE
+        if p is not None and "serve.adopt" in p:
+            rids = [request.rid for _tid, request, _start in self._batch]
+            p["serve.adopt"](self._proc.now, rids)
         self.lib.flush()
         batch, self._batch = self._batch, []
         for tid, request, start_cycle in batch:
             self._ack(tid, request, start_cycle)
-        if ca is not None:
-            ca.dispatch_done()
+        if p is not None and "serve.detach" in p:
+            p["serve.detach"]()
         self._maybe_truncate()
 
     def client_wss(self) -> dict:
@@ -291,18 +284,15 @@ class TxnServer:
         latency = self._proc.now - start_cycle
         self.acked.append(tid)
         self.commit_latencies.append(latency)
-        o = obscore._ACTIVE
-        if o is not None:
-            o.metrics.observe("serve.commit_cycles", latency)
-            o.metrics.observe(
-                f"serve.commit_cycles.{self._backend_name}", latency
+        p = probe._ACTIVE
+        if p is not None and "serve.ack" in p:
+            p["serve.ack"](
+                self._proc.now,
+                request.rid,
+                tid,
+                latency,
+                self._backend_name,
             )
-        ca = causal._ACTIVE
-        if ca is not None:
-            ca.finish(request.ctx, self._proc.now)
-        fr = obsflight._ACTIVE
-        if fr is not None:
-            fr.record(self._proc.now, "serve.ack", request.rid, tid)
         request.future.set_result(latency)
 
     # ------------------------------------------------------------------
@@ -322,21 +312,18 @@ class TxnServer:
         unserved.extend(self._parked)
         unserved.extend(queued)
         inflight = [self._describe_request(req) for req in unserved]
+        p = probe._ACTIVE
+        if p is not None and "serve.crash" in p:
+            # The causal tracker names each request's last stage.
+            p["serve.crash"](inflight)
         self.crash_inflight = inflight
         error = ServeCrashed(crash, inflight)
-        ca = causal._ACTIVE
-        if ca is not None:
-            for req in unserved:
-                ca.drop(req.ctx)
         if request is not None and not request.future.done():
             request.future.set_exception(error)
         self._fail_outstanding(error, queued)
 
     @staticmethod
     def _describe_request(request: Request) -> dict:
-        ctx = request.ctx
-        if ctx is not None:
-            return ctx.describe()
         return {
             "rid": request.rid,
             "client": request.client,

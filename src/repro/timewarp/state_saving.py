@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 from repro.analytics.policy import CheckpointTuner
 from repro.analytics.stream import LogTap
 from repro.errors import RollbackError
-from repro.faults import plan as faultplan
+from repro import probe
 from repro.core.log_reader import RegionLogView
 from repro.core.log_segment import LogSegment
 from repro.core.region import StdRegion
@@ -136,7 +136,7 @@ class CopyStateSaver(StateSaver):
         proc = self.scheduler.proc
         restored = 0
         while self._saved and self._saved[-1][0] >= vt:
-            faultplan.hit("timewarp.rollback.restore", cycle=proc.now)
+            probe.hit("timewarp.rollback.restore", cycle=proc.now)
             _, local_index, data = self._saved.pop()
             self.working.write_bytes(self.object_offset(local_index), data)
             restored += 1
@@ -225,7 +225,7 @@ class LVMStateSaver(StateSaver):
                     cut_offset = offset
                     break
                 continue
-            faultplan.hit("timewarp.rollback.restore", cycle=proc.now)
+            probe.hit("timewarp.rollback.restore", cycle=proc.now)
             self.working.write(seg_offset, record.value, record.size)
             proc.compute(APPLY_RECORD_CYCLES)
             self.rollforward_records += 1
@@ -389,7 +389,7 @@ class CheckpointedLVMSaver(LVMStateSaver):
                     cut_offset = offset
                     break
                 continue
-            faultplan.hit("timewarp.rollback.restore", cycle=proc.now)
+            probe.hit("timewarp.rollback.restore", cycle=proc.now)
             self.working.write(seg_offset, record.value, record.size)
             proc.compute(APPLY_RECORD_CYCLES)
             self.rollforward_records += 1

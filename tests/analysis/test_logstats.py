@@ -5,10 +5,11 @@ these are *value* tests: a change to the aggregation arithmetic fails
 loudly instead of silently shifting experiment tables.
 """
 
+from repro import probe
 from repro.analysis.logstats import compute_stats, inter_write_gaps
 from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE
 from repro.hw.records import LogRecord
-from repro.obs.core import Observability, installed
+from repro.obs.core import Observability
 from repro.obs.machine_sources import snapshot_machine
 from repro.obs.workloads import run_workload
 
@@ -60,7 +61,7 @@ class TestMetricsAgreeWithLogstats:
     def test_counters_match_compute_stats_on_live_run(self):
         # The observability counters and the post-hoc log analysis are
         # two independent tallies of the same run; they must agree.
-        with installed(Observability()) as obs:
+        with probe.attached(Observability()) as obs:
             summary = run_workload("copy")
             stats = compute_stats(summary["log"])
             snap = snapshot_machine(summary["machine"], obs)

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analytics import stream as anstream
+from repro import probe
 from repro.analytics.stream import AnalyticsHub
-from repro.obs.core import Observability, installed as obs_installed
+from repro.obs.core import Observability
 from repro.obs.workloads import WORKLOADS, run_workload
 
 
@@ -39,7 +39,7 @@ class TestAnalyticsExactness:
         baseline = summary_fingerprint(run_workload(workload))
 
         hub = AnalyticsHub()
-        with anstream.installed(hub):
+        with probe.attached(hub):
             attached = run_workload(workload)
         assert summary_fingerprint(attached) == baseline
         if attached["log"] is not None:
@@ -51,8 +51,8 @@ class TestAnalyticsExactness:
         baseline = summary_fingerprint(run_workload(workload))
 
         hub = AnalyticsHub()
-        with obs_installed(Observability()) as obs:
-            with anstream.installed(hub):
+        with probe.attached(Observability()) as obs:
+            with probe.attached(hub):
                 attached = run_workload(workload)
             gauges = obs.metrics.snapshot()["gauges"]
         assert summary_fingerprint(attached) == baseline

@@ -5,12 +5,11 @@ from __future__ import annotations
 import pytest
 
 from conftest import make_logged_region
-from repro.analytics import stream as anstream
-from repro.analytics.core import _np
+from repro import probe
 from repro.analytics.stream import AnalyticsHub, LogTap, rebuild_tap
 from repro.errors import ConfigError
 from repro.hw.params import PAGE_SIZE
-from repro.obs.core import Observability, installed as obs_installed
+from repro.obs.core import Observability
 from repro.obs.trace import Tracer
 
 
@@ -61,25 +60,20 @@ class TestLogTap:
         for key in ("stats", "pages", "curve", "latest"):
             assert tap_digest(live)[key] == tap_digest(oneshot)[key]
 
-    @pytest.mark.skipif(_np is None, reason="numpy not available")
-    def test_numpy_and_pure_paths_agree(self, machine, monkeypatch):
+    def test_numpy_and_pure_paths_agree(self, machine):
         region, log, va = make_logged_region(machine, size=4 * PAGE_SIZE)
         for burst, start in ((7, 0), (70, 512), (1, 3000), (130, 8)):
             write_words(machine, va, burst, start=start)
 
-        fast = LogTap(log, window=16)
-        fast.advance()
-        assert _np is not None  # the fast path really ran vectorised
-
-        monkeypatch.setattr(anstream, "_np", None)
-        pure = LogTap(log, window=16)
-        pure.advance()
+        columns = LogTap(log, window=16)
+        assert columns._columns  # dense 16-byte records: numpy columns
+        columns.advance()
 
         generic = LogTap(log, window=16)
-        generic._fast = False
+        generic._columns = False
         generic.advance()
 
-        assert tap_digest(fast) == tap_digest(pure) == tap_digest(generic)
+        assert tap_digest(columns) == tap_digest(generic)
 
     def test_announced_rewind_clamps_the_cursor(self, machine):
         region, log, va = make_logged_region(machine)
@@ -144,23 +138,23 @@ class TestRebuild:
 class TestInstall:
     def test_double_install_is_refused(self):
         hub = AnalyticsHub()
-        with anstream.installed(hub):
-            assert anstream.active() is hub
+        with probe.attached(hub):
+            assert probe.find(AnalyticsHub) is hub
             with pytest.raises(ConfigError):
-                anstream.install(AnalyticsHub())
-        assert anstream.active() is None
+                probe.attach(AnalyticsHub())
+        assert probe.find(AnalyticsHub) is None
 
     def test_installed_uninstalls_on_error(self):
         with pytest.raises(RuntimeError):
-            with anstream.installed(AnalyticsHub()):
+            with probe.attached(AnalyticsHub()):
                 raise RuntimeError("boom")
-        assert anstream.active() is None
+        assert probe.find(AnalyticsHub) is None
 
 
 class TestAnalyticsHub:
     def test_kernel_attach_and_drain_feed_the_hub(self, machine):
         hub = AnalyticsHub()
-        with anstream.installed(hub):
+        with probe.attached(hub):
             region, log, va = make_logged_region(machine)
             tap = hub.tap_for(log)
             assert tap is not None  # auto-registered at bind time
@@ -182,7 +176,7 @@ class TestAnalyticsHub:
         hub = AnalyticsHub()
         hub.watch(log, name="bank")
         tracer = Tracer(categories={"metrics"})
-        with obs_installed(Observability(tracer=tracer)) as obs:
+        with probe.attached(Observability(tracer=tracer)) as obs:
             assert hub.notify(machine.clock.now) == 24
             gauges = obs.metrics.snapshot()["gauges"]
         assert gauges["analytics.bank.records"] == 24

@@ -4,6 +4,7 @@ same canned workloads the CI obs job runs."""
 
 from __future__ import annotations
 
+from repro import probe
 from repro.analysis.locality import working_set_curve
 from repro.analysis.logstats import compute_stats
 from repro.analysis.redundancy import analyse
@@ -128,7 +129,6 @@ class TestGoldenTimewarp:
     def test_live_taps_see_every_logged_record_despite_truncation(
         self, machine
     ):
-        from repro.analytics import stream as anstream
         from repro.analytics.stream import AnalyticsHub
         from repro.timewarp.kernel import TimeWarpSimulation
         from repro.timewarp.workloads import SyntheticModel
@@ -138,7 +138,7 @@ class TestGoldenTimewarp:
         # rewinds and truncations — so the streamed totals equal the
         # hardware logger's append counter for the whole run.
         hub = AnalyticsHub()
-        with anstream.installed(hub):
+        with probe.attached(hub):
             model = SyntheticModel(c=400, s=256, w=8, num_objects=8)
             sim = TimeWarpSimulation(
                 model,

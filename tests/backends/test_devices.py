@@ -238,8 +238,3 @@ class TestFactory:
     def test_latency_params_pass_through(self, machine, proc):
         disk = make_backend("ram", 4096, op_overhead_cycles=1, per_block_cycles=1)
         assert _cost(proc, lambda: disk.write(proc.cpu, 0, b"x")) == 2
-
-    def test_legacy_ramdisk_import_is_the_backend(self):
-        from repro.rvm.ramdisk import RamDisk as LegacyRamDisk
-
-        assert LegacyRamDisk is RamDisk

@@ -26,52 +26,36 @@ def pytest_addoption(parser):
 
 
 @pytest.fixture(autouse=True)
-def _no_leaked_fault_plan():
-    """A test that dies mid-injection must not poison its neighbours."""
+def _no_leaked_subscribers():
+    """A test that dies with a subscriber attached (a fault plan
+    mid-injection, an Observability, a hub) must not poison its
+    neighbours."""
     yield
-    from repro.faults import plan as faultplan
+    from repro import probe
 
-    faultplan.uninstall()
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_observability():
-    """Same for an Observability a test installed and failed to remove."""
-    yield
-    from repro.obs import core as obscore
-
-    obscore.uninstall()
-
-
-@pytest.fixture(autouse=True)
-def _no_leaked_analytics_hub():
-    """And for an AnalyticsHub left installed by a failing test."""
-    yield
-    from repro.analytics import stream as anstream
-
-    anstream.uninstall()
+    p = probe._ACTIVE
+    for subscriber in p.subscribers if p is not None else ():
+        probe.detach(subscriber)
 
 
 @pytest.fixture(autouse=True)
 def _lvm_san(request):
-    """Under ``--lvm-san``, run the test inside a LogRaceDetector.
+    """Under ``--lvm-san``, run the test with a LogRaceDetector attached.
 
-    Tests that install their own detector (tests/sanitize) opt out by
-    uninstalling first; the teardown always clears any leaked detector,
-    mirroring the fault-plan and observability fixtures above.
+    Tests that attach their own detector (tests/sanitize) detach this
+    one first.
     """
+    from repro import probe
     from repro.sanitize import race
 
-    if not request.config.getoption("--lvm-san") or race.active() is not None:
+    if not request.config.getoption("--lvm-san"):
         yield
-        race.uninstall()
         return
-    detector = race.LogRaceDetector()
-    race.install(detector)
+    detector = probe.attach(race.LogRaceDetector())
     try:
         yield
     finally:
-        race.uninstall()
+        probe.detach(detector)
     assert not detector.races_seen, f"--lvm-san:\n{detector.summary()}"
 
 

@@ -138,6 +138,7 @@ class TestReverseExecutor:
         # log is then unordered with the other CPUs' writes — the
         # cycle-domain race the sanitizer exists to catch — whereas a
         # whole-machine quiesce is a global barrier.
+        from repro import probe
         from repro.core.process import Process
         from repro.sanitize import race
 
@@ -146,14 +147,10 @@ class TestReverseExecutor:
         other = Process(machine, cpu_index=1, address_space=proc.address_space())
         proc.write(va, 0x11)
         machine.quiesce()  # order CPU 0's write before CPU 1's
-        detector = race.LogRaceDetector()
-        race.install(detector)
-        try:
+        with probe.attached(race.LogRaceDetector()) as detector:
             other.write(va, 0x22)
             assert len(rex) == 2  # CPU 1's write is visible
             proc.write(va, 0x33)  # CPU 0 writes after reading history
-        finally:
-            race.uninstall()
         # history()'s quiesce ordered CPU 1's write before CPU 0's next
         # one; with the old sync(cpu(0)) these two writes race.
         assert detector.races_seen == 0

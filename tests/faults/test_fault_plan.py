@@ -4,8 +4,9 @@ deliberately broken recoveries that the consistency checker must catch.
 
 import pytest
 
+from repro import probe
 from repro.errors import ConfigError
-from repro.faults import CrashPoint, CrashSpec, FaultPlan, installed
+from repro.faults import CrashPoint, CrashSpec, FaultPlan
 from repro.faults import plan as faultplan
 from repro.faults.checker import (
     DURABLE,
@@ -15,7 +16,7 @@ from repro.faults.checker import (
     recover,
 )
 from repro.faults.sweep import DEFAULT_SCRIPT, check_run, run_script
-from repro.rvm.ramdisk import RamDisk
+from repro.backends.ramdisk import RamDisk
 from repro.rvm.rlvm import RLVM
 from repro.rvm.rvm import RVM
 
@@ -23,7 +24,7 @@ from repro.rvm.rvm import RVM
 class TestTriggers:
     def test_before_mode_leaves_nothing_durable(self, machine, proc):
         disk = RamDisk(1024)
-        with installed(FaultPlan.at_disk_write(nth=2)):
+        with probe.attached(FaultPlan.at_disk_write(nth=2)):
             disk.write(proc.cpu, 0, b"AAAA")
             with pytest.raises(CrashPoint) as exc:
                 disk.write(proc.cpu, 8, b"BBBB")
@@ -34,7 +35,7 @@ class TestTriggers:
 
     def test_after_mode_makes_the_write_durable_first(self, machine, proc):
         disk = RamDisk(1024)
-        with installed(FaultPlan.at_disk_write(nth=1, mode="after")):
+        with probe.attached(FaultPlan.at_disk_write(nth=1, mode="after")):
             with pytest.raises(CrashPoint):
                 disk.write(proc.cpu, 0, b"AAAA")
         assert disk.peek(0, 4) == b"AAAA"
@@ -43,7 +44,7 @@ class TestTriggers:
         def run(seed):
             disk = RamDisk(1024)
             plan = FaultPlan.at_disk_write(nth=1, mode="torn", seed=seed)
-            with installed(plan):
+            with probe.attached(plan):
                 with pytest.raises(CrashPoint):
                     disk.write(proc.cpu, 0, b"ABCDEFGH")
             return disk.peek(0, 8)
@@ -55,7 +56,7 @@ class TestTriggers:
 
     def test_cycle_trigger_fires_once_time_passes(self, machine, proc):
         disk = RamDisk(1024)
-        with installed(FaultPlan.at_cycle(proc.cpu.now + 1)):
+        with probe.attached(FaultPlan.at_cycle(proc.cpu.now + 1)):
             # Hooks observe the cycle *before* the write is charged, so
             # the first write (at cycle 0) survives and becomes durable.
             disk.write(proc.cpu, 0, b"AAAA")
@@ -67,19 +68,19 @@ class TestTriggers:
     def test_counts_and_fired_latch(self, machine, proc):
         disk = RamDisk(1024)
         plan = FaultPlan()  # no trigger: pure counting
-        with installed(plan):
+        with probe.attached(plan):
             for i in range(5):
                 disk.write(proc.cpu, 16 * i, b"xx")
         assert plan.counts[faultplan.SITE_DISK_WRITE] == 5
         assert not plan.fired
 
     def test_double_install_rejected(self):
-        with installed(FaultPlan()):
+        with probe.attached(FaultPlan()):
             with pytest.raises(ConfigError):
-                faultplan.install(FaultPlan())
+                probe.attach(FaultPlan())
 
     def test_module_hit_is_noop_without_plan(self):
-        faultplan.hit("any.site", cycle=123)  # must not raise
+        probe.hit("any.site", cycle=123)  # must not raise
 
     def test_repr_replays_the_plan(self):
         plan = FaultPlan(seed=9, crash=CrashSpec("wal.append", 3, "torn"))
@@ -92,7 +93,7 @@ class TestTriggers:
         disk = RamDisk(1024)
         plan = FaultPlan.at_disk_write(nth=1)
         plan.snapshot_source(lambda: "durable-state")
-        with installed(plan):
+        with probe.attached(plan):
             with pytest.raises(CrashPoint) as exc:
                 disk.write(proc.cpu, 0, b"AAAA")
         assert exc.value.snapshot == "durable-state"
@@ -105,7 +106,7 @@ class TestReorderWindow:
         plan = FaultPlan(
             seed=seed, crash=CrashSpec("ramdisk.write", 4), reorder_window=2
         )
-        with installed(plan):
+        with probe.attached(plan):
             disk.write(proc.cpu, 0, b"AAAA")
             disk.write(proc.cpu, 8, b"BBBB")
             disk.write(proc.cpu, 16, b"CCCC")

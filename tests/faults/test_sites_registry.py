@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.faults import plan as faultplan
+from repro import probe
 from repro.faults.plan import FaultPlan
 from repro.faults.sites import ALL_SITES, SITES
 from repro.sanitize.sitegen import render, sweep_sites
@@ -98,7 +98,7 @@ class TestEverySiteIsExercised:
         from repro.obs.workloads import run_timewarp
 
         plan = FaultPlan(seed=0)
-        with faultplan.installed(plan):
+        with probe.attached(plan):
             run_timewarp()
         assert plan.counts["timewarp.rollback.restore"] >= 1
 
@@ -106,7 +106,7 @@ class TestEverySiteIsExercised:
         from repro.obs.workloads import run_copy
 
         plan = FaultPlan(seed=0)
-        with faultplan.installed(plan):
+        with probe.attached(plan):
             run_copy()
         assert plan.counts["logger.overload"] >= 1
 
@@ -118,7 +118,7 @@ class TestEverySiteIsExercised:
         region, _log, va = make_logged_region(machine)
         engine = ReplayEngine(region, checkpoint_interval=4)
         plan = FaultPlan(seed=0)
-        with faultplan.installed(plan):
+        with probe.attached(plan):
             for i in range(8):
                 proc.write(va + 4 * i, i)
             engine.state_at(len(engine))
@@ -135,7 +135,7 @@ class TestEverySiteIsExercised:
             proc.write(va + 4 * i, i)
         machine.quiesce()
         plan = FaultPlan(seed=0)
-        with faultplan.installed(plan):
+        with probe.attached(plan):
             tap = rebuild_tap(log, cycle=machine.clock.now)
         assert plan.counts["analytics.rebuild"] == 1
         assert tap.stats.record_count == 8
@@ -144,7 +144,7 @@ class TestEverySiteIsExercised:
         from repro.hw.fifo import HardwareFifo, PushResult
 
         plan = FaultPlan(seed=0)
-        with faultplan.installed(plan):
+        with probe.attached(plan):
             fifo = HardwareFifo(capacity=1)
             assert fifo.push(0, "a") is PushResult.OK
             assert fifo.push(0, "b") is PushResult.OVERFLOW

@@ -11,12 +11,11 @@ to a bare one.
 
 import pytest
 
-from repro.obs import causal
-from repro.obs import core as obscore
-from repro.obs import flight as obsflight
-from repro.obs.causal import STAGES, TraceContext
+from repro import probe
+from repro.obs.causal import STAGES, CausalTracker, TraceContext
 from repro.obs.cli import run_traced_serve
 from repro.obs.core import Observability
+from repro.obs.flight import FlightRecorder
 from repro.obs.trace import validate_trace
 from repro.serve.cli import run_serve
 
@@ -62,9 +61,9 @@ class TestTraceContextArithmetic:
 
 
 def _instrumented_run(group=1):
-    with obscore.installed(Observability()):
-        with causal.installed() as tracker:
-            with obsflight.installed():
+    with probe.attached(Observability()):
+        with probe.attached(CausalTracker()) as tracker:
+            with probe.attached(FlightRecorder()):
                 result = run_serve(group=group, **_WORKLOAD)
     return tracker, result
 

@@ -1,37 +1,41 @@
 """The always-on flight recorder: ring semantics and crash capture.
 
 The recorder is a bounded deque of cycle-stamped events; the tests pin
-the ring arithmetic (capacity, eviction, ``seen``/``dropped``), the
-LVM004 install gate, and the contract that matters: an injected
+the ring arithmetic (capacity, eviction, ``seen``/``dropped``), its
+attachment to the probe stream, and the contract that matters: an injected
 :class:`CrashPoint` carries the recorder tail, ending in the
 ``fault.crash`` event for the site that fired.
 """
 
 import pytest
 
+from repro import probe
 from repro.errors import ConfigError
-from repro.faults import plan as faultplan
 from repro.faults.plan import CrashPoint, CrashSpec, FaultPlan
 from repro.faults.sweep import DEFAULT_SCRIPT, run_script
-from repro.obs import flight as obsflight
 from repro.obs.flight import FlightRecorder
 from repro.rvm.rlvm import RLVM
+
+
+def record(fr, cycle, a=None, b=None, kind="device.write"):
+    """Deliver one stream event to ``fr`` alone."""
+    fr.handlers()[kind](cycle, a, b)
 
 
 class TestRing:
     def test_records_in_order_oldest_first(self):
         fr = FlightRecorder(capacity=8)
         for i in range(5):
-            fr.record(100 + i, "k", i)
+            record(fr, 100 + i, i)
         assert len(fr) == 5
         assert fr.seen == 5
         assert fr.dropped == 0
-        assert fr.tail() == [(100 + i, "k", i, None) for i in range(5)]
+        assert fr.tail() == [(100 + i, "device.write", i, None) for i in range(5)]
 
     def test_ring_evicts_oldest_and_counts_drops(self):
         fr = FlightRecorder(capacity=4)
         for i in range(10):
-            fr.record(i, "k", i)
+            record(fr, i, i)
         assert len(fr) == 4
         assert fr.seen == 10
         assert fr.dropped == 6
@@ -40,12 +44,12 @@ class TestRing:
     def test_tail_limit_takes_newest(self):
         fr = FlightRecorder(capacity=8)
         for i in range(6):
-            fr.record(i, "k")
+            record(fr, i)
         assert [event[0] for event in fr.tail(2)] == [4, 5]
 
     def test_clear_keeps_seen(self):
         fr = FlightRecorder(capacity=4)
-        fr.record(1, "k")
+        record(fr, 1)
         fr.clear()
         assert len(fr) == 0
         assert fr.seen == 1
@@ -57,25 +61,26 @@ class TestRing:
 
 class TestGate:
     def test_install_uninstall(self):
-        assert obsflight.active() is None
-        with obsflight.installed() as fr:
-            assert obsflight.active() is fr
+        assert probe.find(FlightRecorder) is None
+        with probe.attached(FlightRecorder()) as fr:
+            assert probe.find(FlightRecorder) is fr
             with pytest.raises(ConfigError):
-                obsflight.install(FlightRecorder())
-        assert obsflight.active() is None
+                probe.attach(FlightRecorder())
+        assert probe.find(FlightRecorder) is None
 
     def test_tail_if_active(self):
-        assert obsflight.tail_if_active() is None
-        with obsflight.installed() as fr:
-            fr.record(7, "k", "a", "b")
-            assert obsflight.tail_if_active() == [(7, "k", "a", "b")]
-        assert obsflight.tail_if_active() is None
+        with probe.attached(FlightRecorder()) as fr:
+            # The ring keeps (cycle, kind, a, b) of each recorded kind
+            # and routes none of the rest of the stream.
+            probe._ACTIVE["device.flush"](7, "ram", 2)
+            assert "tc.miss" not in probe._ACTIVE
+            assert fr.tail() == [(7, "device.flush", "ram", 2)]
 
 
 class TestCrashCapture:
     def test_crashpoint_carries_recorder_tail(self):
         plan = FaultPlan(seed=3, crash=CrashSpec("backend.flush", 2))
-        with obsflight.installed() as fr:
+        with probe.attached(FlightRecorder()) as fr:
             result = run_script(RLVM, DEFAULT_SCRIPT, plan)
         crash = result.crash
         assert isinstance(crash, CrashPoint)
@@ -98,8 +103,8 @@ class TestCrashCapture:
         assert result.crash.flight is None
 
     def test_fault_hits_recorded_only_under_a_plan(self):
-        with obsflight.installed() as fr:
-            # No plan installed: hit() is a no-op and records nothing.
-            assert faultplan._ACTIVE is None
-            faultplan.hit("backend.flush", cycle=1)
+        with probe.attached(FlightRecorder()) as fr:
+            # No plan attached: hit() reaches no subscriber.
+            assert probe.find(FaultPlan) is None
+            probe.hit("backend.flush", cycle=1)
             assert len(fr) == 0

@@ -1,55 +1,53 @@
-"""The Observability gate: install/uninstall, span routing, nesting."""
+"""The Observability subscriber: attach/detach, span routing, nesting."""
 
 import pytest
 
+from repro import probe
 from repro.errors import ConfigError
-from repro.obs import core as obscore
-from repro.obs.core import Observability, installed
+from repro.obs.core import Observability
 from repro.obs.profiler import CycleProfiler
 from repro.obs.trace import Tracer, validate_trace
 
 
 class TestInstall:
     def test_disabled_by_default(self):
-        assert obscore._ACTIVE is None
-        assert obscore.active() is None
-        assert not obscore.trace_detail_active()
-        assert obscore.metrics_snapshot_if_active() is None
+        assert probe._ACTIVE is None
+        assert probe.find(Observability) is None
 
     def test_install_uninstall(self):
         obs = Observability()
-        obscore.install(obs)
+        probe.attach(obs)
         try:
-            assert obscore.active() is obs
-            with pytest.raises(ConfigError, match="already installed"):
-                obscore.install(Observability())
+            assert probe.find(Observability) is obs
+            with pytest.raises(ConfigError, match="already attached"):
+                probe.attach(Observability())
         finally:
-            obscore.uninstall()
-        assert obscore.active() is None
+            probe.detach(obs)
+        assert probe._ACTIVE is None
 
     def test_installed_context_manager(self):
         obs = Observability()
-        with installed(obs) as o:
-            assert o is obs and obscore.active() is obs
-        assert obscore.active() is None
+        with probe.attached(obs) as o:
+            assert o is obs and probe.find(Observability) is obs
+        assert probe._ACTIVE is None
 
     def test_installed_uninstalls_on_error(self):
         with pytest.raises(RuntimeError):
-            with installed(Observability()):
+            with probe.attached(Observability()):
                 raise RuntimeError("boom")
-        assert obscore.active() is None
+        assert probe._ACTIVE is None
 
     def test_trace_detail_requires_a_tracer(self):
-        with installed(Observability()):
-            assert not obscore.trace_detail_active()  # metrics-only
-        with installed(Observability(tracer=Tracer())):
-            assert obscore.trace_detail_active()
+        with probe.attached(Observability()):
+            assert not probe._ACTIVE.per_record  # metrics-only
+        with probe.attached(Observability(tracer=Tracer())):
+            assert probe._ACTIVE.per_record
 
     def test_metrics_snapshot_if_active(self):
-        with installed(Observability()) as obs:
-            obs.metrics.inc("x", 3)
-            snap = obscore.metrics_snapshot_if_active()
-        assert snap["counters"]["x"] == 3
+        with probe.attached(Observability()) as obs:
+            probe._ACTIVE["device.buffer"](0, "ram", 3)
+            snap = obs.metrics.snapshot()
+        assert snap["counters"]["rvm.disk.bytes_buffered"] == 3
 
 
 class TestSpanRouting:

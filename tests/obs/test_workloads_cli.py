@@ -12,10 +12,11 @@ import json
 
 import pytest
 
+from repro import probe
 from repro.analysis.logstats import compute_stats
-from repro.faults.plan import CrashPoint, FaultPlan, install as install_plan
+from repro.faults.plan import CrashPoint, FaultPlan
 from repro.obs.cli import main as cli_main, run_traced
-from repro.obs.core import Observability, installed
+from repro.obs.core import Observability
 from repro.obs.machine_sources import snapshot_machine
 from repro.obs.trace import validate_trace
 from repro.obs.workloads import WORKLOADS, run_workload
@@ -197,15 +198,12 @@ class TestCrashPointMetrics:
     def test_crashpoint_carries_metrics_snapshot(self):
         from repro.core.context import set_current_machine
 
-        with installed(Observability()) as obs:
-            plan = install_plan(FaultPlan.at_site("rvm.commit.log"))
+        with probe.attached(Observability()) as obs:
             try:
-                with pytest.raises(CrashPoint) as exc:
-                    run_workload("rvm")
+                with probe.attached(FaultPlan.at_site("rvm.commit.log")):
+                    with pytest.raises(CrashPoint) as exc:
+                        run_workload("rvm")
             finally:
-                from repro.faults import plan as faultplan
-
-                faultplan.uninstall()
                 set_current_machine(None)
             crash = exc.value
             assert crash.metrics is not None
@@ -216,13 +214,11 @@ class TestCrashPointMetrics:
 
     def test_crashpoint_metrics_none_when_disabled(self):
         from repro.core.context import set_current_machine
-        from repro.faults import plan as faultplan
 
-        install_plan(FaultPlan.at_site("rvm.commit.log"))
         try:
-            with pytest.raises(CrashPoint) as exc:
-                run_workload("rvm")
+            with probe.attached(FaultPlan.at_site("rvm.commit.log")):
+                with pytest.raises(CrashPoint) as exc:
+                    run_workload("rvm")
         finally:
-            faultplan.uninstall()
             set_current_machine(None)
         assert exc.value.metrics is None

@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro import probe
 from repro.errors import AddressError, RecoveryError
-from repro.rvm.ramdisk import RamDisk
+from repro.backends.ramdisk import RamDisk
 from repro.rvm.wal import EntryKind, WriteAheadLog
 
 
@@ -91,12 +92,11 @@ class TestWriteAheadLog:
         """Regression: an empty write group must not touch the disk,
         charge cycles, or bump any metric — exactly like an empty
         append_transactions call."""
-        from repro.obs import core as obscore
         from repro.obs.core import Observability
 
         disk = RamDisk(1 << 16)
         wal = WriteAheadLog(disk)
-        with obscore.installed(Observability()) as obs:
+        with probe.attached(Observability()) as obs:
             before = obs.metrics.snapshot()
             t0 = proc.now
             wal.append_writes(proc.cpu, 5, [])

@@ -8,8 +8,9 @@ import zlib
 
 import pytest
 
-from repro.faults import CrashPoint, FaultPlan, installed
-from repro.rvm.ramdisk import RamDisk
+from repro import probe
+from repro.faults import CrashPoint, FaultPlan
+from repro.backends.ramdisk import RamDisk
 from repro.rvm.rvm import RVM
 from repro.rvm.wal import EntryKind, WriteAheadLog
 
@@ -43,7 +44,7 @@ class TestEmptyAndTornLogs:
         previous frame — the torn entry never committed."""
         wal = WriteAheadLog(RamDisk(1 << 12))
         plan = FaultPlan.at_site("wal.append", nth=2, mode="torn")
-        with installed(plan):
+        with probe.attached(plan):
             wal.append_commit(proc.cpu, 1)
             with pytest.raises(CrashPoint):
                 wal.append_commit(proc.cpu, 2)
@@ -58,7 +59,7 @@ class TestEmptyAndTornLogs:
         in-flight append; what recovery may never see is half of it."""
         wal = WriteAheadLog(RamDisk(1 << 12))
         plan = FaultPlan.at_disk_write(nth=2, mode="torn", seed=3)
-        with installed(plan):
+        with probe.attached(plan):
             wal.append_commit(proc.cpu, 1)
             with pytest.raises(CrashPoint):
                 wal.append_commit(proc.cpu, 2)
@@ -89,7 +90,7 @@ class TestCrashDuringTruncation:
         truncation, and recover again.  Replay is idempotent physical
         redo, so every committed value survives both crashes."""
         rvm = self._committed_rvm(proc)
-        with installed(FaultPlan.at_site("rvm.truncate.apply", nth=2)):
+        with probe.attached(FaultPlan.at_site("rvm.truncate.apply", nth=2)):
             with pytest.raises(CrashPoint):
                 rvm.truncate()
         recovered = rvm.crash_and_recover()
@@ -101,7 +102,7 @@ class TestCrashDuringTruncation:
         txn.set_range(va + 12, 4)
         txn.write(va + 12, 0x44)
         txn.commit()
-        with installed(FaultPlan.at_site("wal.reset", nth=1)):
+        with probe.attached(FaultPlan.at_site("wal.reset", nth=1)):
             with pytest.raises(CrashPoint):
                 recovered.truncate()
         final = recovered.crash_and_recover()

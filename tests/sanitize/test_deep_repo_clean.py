@@ -57,19 +57,19 @@ class TestDurabilityFacts:
 
     def test_sync_commit_ack_verified(self):
         assert (
-            "lvm101 ack-clean repro/serve/server.py::TxnServer._commit:239"
+            "lvm101 ack-clean repro/serve/server.py::TxnServer._commit:232"
             in _result().facts
         )
 
     def test_group_commit_ack_verified(self):
         assert (
-            "lvm101 ack-clean repro/serve/server.py::TxnServer._flush_batch:271"
+            "lvm101 ack-clean repro/serve/server.py::TxnServer._flush_batch:264"
             in _result().facts
         )
 
     def test_ack_helper_verified(self):
         assert (
-            "lvm101 ack-clean repro/serve/server.py::TxnServer._ack:306"
+            "lvm101 ack-clean repro/serve/server.py::TxnServer._ack:296"
             in _result().facts
         )
 

@@ -17,8 +17,9 @@ from repro.core.log_segment import LogSegment
 from repro.core.process import Process
 from repro.core.region import StdRegion
 from repro.core.segment import StdSegment
+from repro import probe
+from repro.errors import ConfigError
 from repro.hw.params import PAGE_SIZE, MachineConfig
-from repro.sanitize import race
 from repro.sanitize.race import LogRaceDetector, RaceReport
 from repro.sanitize.vclock import VectorClock
 
@@ -31,17 +32,16 @@ TIMEWARP_GOLDEN = {"cycles": 71595, "records": 1070}
 
 @contextmanager
 def fresh_detector(**kwargs):
-    """Install a private detector, shelving any ambient --lvm-san one."""
-    previous = race.active()
-    race.uninstall()
-    detector = LogRaceDetector(**kwargs)
-    race.install(detector)
+    """Attach a private detector, shelving any ambient --lvm-san one."""
+    previous = probe.find(LogRaceDetector)
+    probe.detach(previous)
+    detector = probe.attach(LogRaceDetector(**kwargs))
     try:
         yield detector
     finally:
-        race.uninstall()
+        probe.detach(detector)
         if previous is not None:
-            race.install(previous)
+            probe.attach(previous)
 
 
 class TestVectorClock:
@@ -170,8 +170,8 @@ class TestDetectorUnit:
 
     def test_install_is_exclusive(self):
         with fresh_detector():
-            with pytest.raises(RuntimeError):
-                race.install(LogRaceDetector())
+            with pytest.raises(ConfigError):
+                probe.attach(LogRaceDetector())
 
 
 @pytest.fixture
@@ -271,7 +271,7 @@ class TestSanitizedOffIdentity:
     def test_copy_cycle_and_log_record_identical(self):
         from repro.obs.workloads import run_copy
 
-        race.uninstall()
+        probe.detach(probe.find(LogRaceDetector))
         baseline = run_copy()
         assert baseline["cycles"] == COPY_GOLDEN["cycles"]
         assert (
@@ -292,7 +292,7 @@ class TestSanitizedOffIdentity:
     def test_timewarp_cycle_identical(self):
         from repro.obs.workloads import run_timewarp
 
-        race.uninstall()
+        probe.detach(probe.find(LogRaceDetector))
         baseline = run_timewarp()
         assert baseline["cycles"] == TIMEWARP_GOLDEN["cycles"]
         records = baseline["machine"].logger.stats.records_logged
@@ -309,14 +309,14 @@ class TestCli:
     def test_race_cli_clean_on_canned_workloads(self, capsys):
         from repro.sanitize.cli import race_main
 
-        # The CLI installs its own detector per workload; shelve any
+        # The CLI attaches its own detector per workload; shelve any
         # ambient --lvm-san one for the duration of the call.
-        previous = race.active()
-        race.uninstall()
+        previous = probe.find(LogRaceDetector)
+        probe.detach(previous)
         try:
             assert race_main(["copy"]) == 0
         finally:
             if previous is not None:
-                race.install(previous)
+                probe.attach(previous)
         out = capsys.readouterr().out
         assert "0 race(s)" in out

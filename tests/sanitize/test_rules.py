@@ -391,9 +391,10 @@ class TestLVM006FastPathFallback:
 
     def test_trace_detail_guard_counts(self):
         src = """\
-            from repro.obs import core as obscore
+            from repro import probe
             def write_fast(dst, src):
-                if obscore.trace_detail_active():
+                p = probe._ACTIVE
+                if p is not None and p.per_record:
                     return False
                 dst[:] = src
                 return True

@@ -4,12 +4,13 @@ When an injected fault kills the server, every client whose request
 was mid-dispatch, batched, parked, or still queued gets the same
 :class:`ServeCrashed` — and the exception (plus the server's
 ``crash_inflight`` mirror) names those requests: rid, client, op, and
-— when a :class:`CausalTracker` is installed — the last pipeline stage
+— when a :class:`CausalTracker` is attached — the last pipeline stage
 each one completed before the power went out.
 """
 
+from repro import probe
 from repro.faults.plan import CrashSpec, FaultPlan
-from repro.obs import causal
+from repro.obs.causal import CausalTracker
 from repro.serve.cli import run_serve
 from repro.serve.server import ServeCrashed
 
@@ -39,7 +40,7 @@ class TestInflightOnCrash:
         assert error.inflight[0]["op"] == "commit"
 
     def test_last_stage_populated_with_causal_tracker(self):
-        with causal.installed():
+        with probe.attached(CausalTracker()):
             result = run_serve(plan=_crash_plan(), **_WORKLOAD)
         error = result["error"]
         assert isinstance(error, ServeCrashed)

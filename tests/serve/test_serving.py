@@ -13,13 +13,12 @@ import random
 
 import pytest
 
+from repro import probe
 from repro.backends import make_backend
 from repro.core.context import boot, set_current_machine
-from repro.faults import plan as faultplan
 from repro.faults.checker import capture_snapshot, recover
 from repro.faults.plan import CrashSpec, FaultPlan
 from repro.hw.params import MachineConfig
-from repro.obs import core as obscore
 from repro.obs.core import Observability
 from repro.rvm.rlvm import RLVM
 from repro.rvm.rvm import RVM
@@ -88,7 +87,7 @@ def _serve_run(
         writes_by_tid = {}
         if plan is not None:
             plan.snapshot_source(lambda: capture_snapshot(library))
-            with faultplan.installed(plan):
+            with probe.attached(plan):
                 asyncio.run(
                     _drive(server, clients, txns, writes, seed, writes_by_tid)
                 )
@@ -139,7 +138,7 @@ class TestConcurrentServing:
         assert a[3] == b[3]
 
     def test_per_backend_latency_histograms(self):
-        with obscore.installed(Observability()) as obs:
+        with probe.attached(Observability()) as obs:
             server, _lib, _writes, _order = _serve_run(
                 RVM, device_name="nvram_tmpfs", clients=4, txns=2
             )
@@ -241,7 +240,7 @@ class TestCrashDuringServe:
             )
             plan.snapshot_source(lambda: capture_snapshot(library))
             server = TxnServer(library, seg_bytes=8192)
-            with faultplan.installed(plan):
+            with probe.attached(plan):
                 asyncio.run(scenario(server))
             assert server.crashed is not None
             assert server.acked == []

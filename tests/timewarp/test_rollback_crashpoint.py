@@ -6,8 +6,9 @@ reference exactly.
 
 import pytest
 
+from repro import probe
 from repro.core.context import boot, set_current_machine
-from repro.faults import CrashPoint, FaultPlan, installed
+from repro.faults import CrashPoint, FaultPlan
 from repro.hw.params import MachineConfig
 from repro.timewarp import PholdModel, SequentialSimulation, TimeWarpSimulation
 
@@ -31,7 +32,7 @@ def _run_with_plan(saver, plan):
         )
         if plan is None:
             return sim.run()
-        with installed(plan):
+        with probe.attached(plan):
             return sim.run()
     finally:
         set_current_machine(None)
