@@ -102,8 +102,10 @@ def test_bulk_engine_speedup_and_exactness(benchmark, fresh_machine):
     print(f"  simulated cycles (both paths): {slow_cycles['cpu_now']}")
     print(f"  log records (both paths)     : {slow_cycles['log_records']}")
 
-    assert speedup >= 3.0, (
-        f"bulk engine speedup {speedup:.2f}x below the 3x floor"
+    # Under half the slowest of nine runs of the event-driven engine
+    # (11.2x; median 13.4x).
+    assert speedup >= 5.5, (
+        f"bulk engine speedup {speedup:.2f}x below the 5.5x floor"
     )
 
     # Written only once every gate above has held.

@@ -154,6 +154,11 @@ class Logger:
         self._default_page_paddr: int | None = None
         #: logs currently absorbing into the default page
         self._absorbing: set[int] = set()
+        #: ``(entries, ppn, paddrs, values, sizes)``: the FIFO entries the
+        #: bulk engine (``repro.core.bulk``) last left queued, with their
+        #: fields as arrays, so its next run need not decode them again;
+        #: that run checks by identity that they are still the ones queued
+        self.bulk_tail = None
 
     # ------------------------------------------------------------------
     # Kernel-facing configuration

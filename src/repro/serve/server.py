@@ -103,7 +103,13 @@ class TxnServer:
         submission regardless of which client coroutine runs; the
         ``serve.submit`` event opens the request's causal trace (and the
         client's flow event) now, at submit time.
+
+        Once the server has crashed nothing will consume the channel, so
+        a submit (say, the next write of a client mid-transaction) fails
+        at once with :class:`ServeCrashed` instead of awaiting forever.
         """
+        if self.crashed is not None:
+            raise ServeCrashed(self.crashed, self.crash_inflight)
         rid = self._next_rid
         self._next_rid += 1
         p = probe._ACTIVE

@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.baselines.bcopy import vm_copy
 from repro.core import bulk
 from repro.core.context import boot, set_current_machine
 from repro.core.log_segment import LogSegment
@@ -324,6 +325,127 @@ class TestSidePathExactness:
             build_region(extended_records=True), drive, config=ONCHIP
         )
         assert state["onchip"][0] > 0
+
+
+def words_until(config, predicate, limit=4096):
+    """Word-path stores of one word each into a fresh logged region,
+    until ``predicate(machine)`` holds after a store; returns how many.
+
+    Locates the store on which a hardware event lands, so a bulk run
+    can be made to end exactly there.
+    """
+    m = boot(config)
+    try:
+        ctx = build_region(size=8 * PAGE_SIZE)(m)
+        aspace = m.current_process.address_space()
+        for count in range(1, limit + 1):
+            aspace.write(m.cpu(0), ctx["va"] + 4 * (count - 1), count)
+            if predicate(m):
+                return count
+    finally:
+        set_current_machine(None)
+    raise AssertionError("event not reached")
+
+
+def log_page_full(m):
+    entry = next(iter(m.logger.log_table._entries.values()))
+    return not entry.valid
+
+
+class TestEventChargingExactness:
+    """Configurations and run ends the event-driven charging must
+    reproduce exactly: other buffer depths, a logger faster than the
+    stores, queued word-path entries, and runs ending on an event."""
+
+    @pytest.mark.parametrize("depth", [2, 8])
+    def test_write_buffer_depth(self, depth):
+        config = BASE.with_changes(
+            write_buffer_depth=depth, logger_fifo_capacity=64, logger_overload_threshold=48
+        )
+        payload = random.Random(20 + depth).randbytes(3 * PAGE_SIZE + 36)
+
+        def drive(m, ctx, bp):
+            store(m, ctx["va"] + 8, payload, bp)
+
+        state = run_pair(build_region(), drive, config=config)
+        assert state["logger_stats"]["overload_events"] > 0
+        assert state["logger_stats"]["boundary_fault_count"] > 0
+
+    def test_logger_faster_than_stores(self):
+        # Service in 3 cycles, below a store's 6: the FIFO empties
+        # between words, so every record is serviced from idle.
+        config = BASE.with_changes(logger_service_cycles=3)
+        payload = random.Random(22).randbytes(2 * PAGE_SIZE)
+
+        def drive(m, ctx, bp):
+            store(m, ctx["va"], payload, bp)
+
+        state = run_pair(build_region(), drive, config=config)
+        assert state["fifo"][1] <= 2  # high-water mark: never backlogged
+        assert state["logger_stats"]["records_logged"] > 0
+
+    def test_block_after_queued_word_path_entries(self):
+        rng = random.Random(23)
+        head = rng.randbytes(400)
+        payload = rng.randbytes(PAGE_SIZE + 100)
+
+        def drive(m, ctx, bp):
+            aspace = m.current_process.address_space()
+            # Word-path stores to another page leave (ready, BusWrite)
+            # entries queued when the block store starts.
+            aspace.write_bytes(m.cpu(0), ctx["va"] + 2 * PAGE_SIZE, head)
+            assert len(m.logger.write_fifo) > 0
+            store(m, ctx["va"] + 4, payload, bp)
+
+        state = run_pair(build_region(), drive)
+        assert state["logger_stats"]["records_logged"] > 0
+
+    def test_run_ends_on_overload(self):
+        config = BASE.with_changes(logger_fifo_capacity=64, logger_overload_threshold=40)
+        words = words_until(config, lambda m: m.logger.stats.overload_events == 1)
+        payload = random.Random(24).randbytes(4 * words)
+
+        def drive(m, ctx, bp):
+            store(m, ctx["va"], payload, bp)
+            return m.logger.stats.overload_events
+
+        state = run_pair(build_region(size=8 * PAGE_SIZE), drive, config=config)
+        assert state["logger_stats"]["overload_events"] == 1
+        assert state["fifo"][0] == []  # the run's last store flushed it
+
+    def test_run_ends_on_log_page_boundary(self):
+        config = BASE.with_changes(logger_fifo_capacity=1024, logger_overload_threshold=1024)
+        words = words_until(config, log_page_full)
+        payload = random.Random(25).randbytes(4 * words)
+
+        def drive(m, ctx, bp):
+            store(m, ctx["va"], payload, bp)
+            return log_page_full(m)
+
+        state = run_pair(build_region(size=8 * PAGE_SIZE), drive, config=config)
+        assert state["logger_stats"]["boundary_fault_count"] == 0
+        assert list(state["log_table"].values())[0][1] is False
+
+    @pytest.mark.parametrize("seed", [31, 32])
+    def test_vm_copy_64k(self, seed):
+        nbytes = 64 * 1024
+
+        def build(m):
+            aspace = m.current_process.address_space()
+            src = StdSegment(nbytes, machine=m)
+            src.write_bytes(0, random.Random(seed).randbytes(nbytes))
+            src_va = StdRegion(src).bind(aspace)
+            ctx = build_region(size=nbytes)(m)
+            ctx["src_va"] = src_va
+            ctx["segments"].append(src)
+            return ctx
+
+        def drive(m, ctx, bp):
+            vm_copy(m.current_process, ctx["src_va"], ctx["va"], nbytes, use_blocks=bp)
+
+        state = run_pair(build, drive)
+        assert state["logger_stats"]["records_logged"] > 0
+        assert state["logger_stats"]["overload_events"] > 0
 
 
 class TestReadExactness:

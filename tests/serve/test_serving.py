@@ -10,6 +10,7 @@ something.
 
 import asyncio
 import random
+import threading
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.rvm.rlvm import RLVM
 from repro.rvm.rvm import RVM
 from repro.rvm.wal import EntryKind
 from repro.serve.channel import Channel
+from repro.serve.cli import run_serve
 from repro.serve.server import ClientSession, ServeCrashed, TxnServer
 
 SERVE_CONFIG = MachineConfig(memory_bytes=32 * 1024 * 1024)
@@ -200,6 +202,25 @@ class TestCrashDuringServe:
         assert acked <= recovered.committed_tids
         # At most the single in-flight commit beyond the acked set.
         assert len(recovered.committed_tids - acked) <= 1
+
+    @pytest.mark.parametrize("nth", [2, 3])
+    def test_group_commit_crash_mid_transaction_returns(self, nth):
+        """The ``repro serve`` clients check for a crash only between
+        transactions, so one mid-transaction submits its next write to
+        the dead server: that submit must fail fast, the run must
+        return, and every acked commit must be in the recovered WAL."""
+        plan = FaultPlan(seed=1995, crash=CrashSpec("backend.flush", nth, "before"))
+        outcome = {}
+        worker = threading.Thread(
+            target=lambda: outcome.update(run_serve(group=4, plan=plan)), daemon=True
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive(), "serve run hung after the crash"
+        assert isinstance(outcome["error"], ServeCrashed)
+        acked = frozenset(outcome["server"].acked)
+        assert len(acked) == 4 * (nth - 1)
+        assert acked <= recover(outcome["crash"].snapshot).committed_tids
 
     def test_crash_fails_every_outstanding_future(self):
         """No client coroutine may hang: begin/write/commit futures in
