@@ -63,10 +63,9 @@ class LogBasedProtocol(WriteSharedProtocol):
         proc = self.writer.proc
         self.writer.proc.machine.sync(proc.cpu)
         updates: list[tuple[int, bytes]] = []
-        for record in self.log.records():
-            offset = self._view.offset_of(record)
+        for _log_offset, offset, value, size in self._view.scan():
             updates.append(
-                (offset, (record.value & (2 ** (8 * record.size) - 1)).to_bytes(record.size, "little"))
+                (offset, (value & (2 ** (8 * size) - 1)).to_bytes(size, "little"))
             )
             proc.compute(PER_RECORD_CYCLES)
         self.records_sent += len(updates)

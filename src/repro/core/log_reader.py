@@ -18,7 +18,7 @@ from repro.errors import LoggingError
 from repro.core.log_segment import LogSegment
 from repro.core.region import Region
 from repro.hw.params import PAGE_SIZE
-from repro.hw.records import LogRecord
+from repro.hw.records import FLAG_VIRTUAL_ADDR, LogRecord
 
 
 class RegionLogView:
@@ -26,8 +26,8 @@ class RegionLogView:
 
     Translates each record's address (physical on the prototype,
     virtual with the on-chip logger) to the region's segment offset and
-    virtual address.  The frame map is cached and refreshed lazily as
-    the segment grows.
+    virtual address.  :meth:`scan` translates a whole log in one pass;
+    :meth:`offset_of` serves single records.
     """
 
     def __init__(self, region: Region, log: LogSegment | None = None) -> None:
@@ -55,16 +55,7 @@ class RegionLogView:
             if page is None or page.frame.number != target:
                 page_index = None
         if page_index is None:
-            self._frame_map = {
-                page.frame.number: page.index
-                for page in self.region.segment.pages()
-            }
-            page_index = self._frame_map.get(target)
-        if page_index is None:
-            raise LoggingError(
-                f"log record address {record.addr:#x} is not backed by "
-                "any page of the region's segment"
-            )
+            page_index = self._remap(record.addr)
         return page_index * PAGE_SIZE + record.addr % PAGE_SIZE
 
     def va_of(self, record: LogRecord) -> int:
@@ -72,6 +63,34 @@ class RegionLogView:
         if record.is_virtual:
             return record.addr
         return self.region.offset_to_va(self.offset_of(record))
+
+    def scan(self, start: int | None = None) -> Iterator[tuple[int, int, int, int]]:
+        """``(log_offset, seg_offset, value, size)`` for retained records.
+
+        The batched form of :meth:`offset_of` over
+        :meth:`LogSegment.record_pages`, from ``start`` (clamped to the
+        truncation point) in write order.  The frame map is rebuilt
+        once when the scan starts, so a remap between scans is seen;
+        an address it does not know rebuilds it once more and then
+        raises :class:`LoggingError`, as :meth:`offset_of` does.
+        """
+        log = self.log
+        stride = log.record_size
+        va_to_offset = self.region.va_to_offset
+        frame_map = self._rebuild_frame_map()
+        for offset, fields in log.record_pages(start):
+            for record in fields:
+                addr = record[0]
+                if record[3] & FLAG_VIRTUAL_ADDR:
+                    seg_offset = va_to_offset(addr)
+                else:
+                    page_index = frame_map.get(addr // PAGE_SIZE)
+                    if page_index is None:
+                        page_index = self._remap(addr)
+                        frame_map = self._frame_map
+                    seg_offset = page_index * PAGE_SIZE + addr % PAGE_SIZE
+                yield offset, seg_offset, record[1], record[2]
+                offset += stride
 
     # ------------------------------------------------------------------
     # Reading
@@ -82,8 +101,8 @@ class RegionLogView:
 
     def updates(self) -> Iterator[tuple[int, int, int]]:
         """(segment offset, value, size) triples, in write order."""
-        for record in self.log.records():
-            yield self.offset_of(record), record.value, record.size
+        for _log_offset, seg_offset, value, size in self.scan():
+            yield seg_offset, value, size
 
     def apply_to(self, segment, limit_offset: int | None = None) -> int:
         """Replay retained records onto ``segment`` (roll-forward).
@@ -92,12 +111,28 @@ class RegionLogView:
         Returns the number of records applied.
         """
         applied = 0
-        for log_offset, record in self.log.records_with_offsets():
+        for log_offset, seg_offset, value, size in self.scan():
             if limit_offset is not None and log_offset >= limit_offset:
                 break
-            segment.write(self.offset_of(record), record.value, record.size)
+            segment.write(seg_offset, value, size)
             applied += 1
         return applied
+
+    def _rebuild_frame_map(self) -> dict[int, int]:
+        self._frame_map = {
+            page.frame.number: page.index for page in self.region.segment.pages()
+        }
+        return self._frame_map
+
+    def _remap(self, addr: int) -> int:
+        """Page index backing physical ``addr`` after a map rebuild."""
+        page_index = self._rebuild_frame_map().get(addr // PAGE_SIZE)
+        if page_index is None:
+            raise LoggingError(
+                f"log record address {addr:#x} is not backed by "
+                "any page of the region's segment"
+            )
+        return page_index
 
 
 class LogFollower:
@@ -116,15 +151,9 @@ class LogFollower:
     def poll(self) -> list[LogRecord]:
         """Records appended since the last poll."""
         log = self.view.log
-        if self._cursor < log.start_offset:
-            # The producer truncated past our cursor (records we already
-            # consumed), which is fine; resume at the truncation point.
-            self._cursor = log.start_offset
-        out = []
-        for offset, record in log.records_with_offsets():
-            if offset < self._cursor:
-                continue
-            out.append(record)
+        # A producer that truncated past our cursor (records we already
+        # consumed) is fine: the read resumes at the truncation point.
+        out = [record for _offset, record in log.records_with_offsets(self._cursor)]
         self._cursor = log.append_offset
         self.records_seen += len(out)
         return out

@@ -27,9 +27,11 @@ from repro.errors import LoggingError, SegmentError
 from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE
 from repro.hw.records import (
     EXTENDED_RECORD_SIZE,
+    EXTENDED_RECORD_STRUCT,
+    RECORD_STRUCT,
     LogRecord,
-    decode_extended_record,
-    decode_record,
+    extended_record_of,
+    record_of,
 )
 from repro.core.segment import Segment
 
@@ -41,6 +43,9 @@ DEFAULT_LOG_CAPACITY = 4 * 1024 * 1024
 
 #: Size of one indexed-mode entry (a bare data value, section 2.6).
 INDEXED_ENTRY_SIZE = 4
+
+#: What a never-materialised log page reads as.
+_ZERO_PAGE = bytes(PAGE_SIZE)
 
 
 class LogSegment(Segment):
@@ -84,8 +89,7 @@ class LogSegment(Segment):
     @property
     def record_count(self) -> int:
         """Number of records currently retained (after truncation)."""
-        skipped = sum(1 for _ in self._record_offsets(0, self.start_offset))
-        return self.records_appended - skipped
+        return self.records_appended - self._records_below(self.start_offset)
 
     def extend(self, npages: int = 1) -> None:
         """Make ``npages`` more pages available for appending.
@@ -126,18 +130,46 @@ class LogSegment(Segment):
             raise LoggingError("rewind point outside the logged range")
         self.machine.quiesce()
         self.append_offset = to_offset
-        self.records_appended = sum(1 for _ in self._record_offsets(0, to_offset))
+        self.records_appended = self._records_below(to_offset)
         if self.attached_kernel is not None:
             self.attached_kernel.log_rewound(self)
 
+    def record_pages(
+        self, start: int | None = None
+    ) -> Iterator[tuple[int, Iterator[tuple[int, ...]]]]:
+        """The log decoder: retained records, one log page at a time.
+
+        Yields ``(first_offset, fields)`` per log page holding retained
+        records from ``start`` (clamped to the truncation point) to the
+        append point.  ``fields`` unpacks that page's records in write
+        order as plain tuples ``(addr, value, size, flags, timestamp)``,
+        plus ``(old_value, pc)`` in the 24-byte extended format; record
+        ``i`` of the page sits at ``first_offset + i * record_size``.
+        Each page's bytes are read once, through a view of its frame,
+        and never copied; a never-materialised page reads as zeros.
+        Records never straddle pages: 24-byte records leave the last
+        16 bytes of each page as padding.
+        """
+        stride = self.record_size
+        layout = EXTENDED_RECORD_STRUCT if self.extended_records else RECORD_STRUCT
+        end = self.append_offset
+        offset = self.start_offset if start is None else max(start, self.start_offset)
+        pages = self._pages
+        while offset + stride <= end:
+            index, in_page = divmod(offset, PAGE_SIZE)
+            page_base = offset - in_page
+            count = (min(PAGE_SIZE, end - page_base) - in_page) // stride
+            if count:
+                page = pages.get(index)
+                data = _ZERO_PAGE if page is None else page.frame.data
+                view = memoryview(data)[in_page : in_page + count * stride]
+                yield offset, layout.iter_unpack(view)
+            offset = page_base + PAGE_SIZE
+
     def records(self) -> Iterator[LogRecord]:
         """Iterate retained records in write order."""
-        for offset in self._record_offsets(self.start_offset, self.append_offset):
-            data = self.read_bytes(offset, self.record_size)
-            if self.extended_records:
-                yield decode_extended_record(data)
-            else:
-                yield decode_record(data)
+        for _offset, record in self.records_with_offsets():
+            yield record
 
     def records_with_offsets(
         self, start: int | None = None
@@ -149,13 +181,12 @@ class LogSegment(Segment):
         engine, followers — parse only the tail appended since their
         last visit instead of rescanning the whole log.
         """
-        begin = self.start_offset if start is None else max(start, self.start_offset)
-        for offset in self._record_offsets(begin, self.append_offset):
-            data = self.read_bytes(offset, self.record_size)
-            if self.extended_records:
-                yield offset, decode_extended_record(data)
-            else:
-                yield offset, decode_record(data)
+        stride = self.record_size
+        make = extended_record_of if self.extended_records else record_of
+        for offset, fields in self.record_pages(start):
+            for record in fields:
+                yield offset, make(record)
+                offset += stride
 
     def values(self, size: int = INDEXED_ENTRY_SIZE) -> Iterator[int]:
         """Iterate bare data values for an indexed-mode log (section 2.6)."""
@@ -219,17 +250,11 @@ class LogSegment(Segment):
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _record_offsets(self, start: int, end: int) -> Iterator[int]:
-        """Yield the offsets of whole records in ``[start, end)``."""
+    def _records_below(self, offset: int) -> int:
+        """Number of record slots in ``[0, offset)`` (page-padded)."""
         stride = self.record_size
-        offset = start
-        while offset + stride <= end:
-            if PAGE_SIZE - offset % PAGE_SIZE < stride:
-                # Extended records are padded past page boundaries.
-                offset = (offset // PAGE_SIZE + 1) * PAGE_SIZE
-                continue
-            yield offset
-            offset += stride
+        full_pages, in_page = divmod(offset, PAGE_SIZE)
+        return full_pages * (PAGE_SIZE // stride) + in_page // stride
 
     def _check_not_source(self) -> None:  # pragma: no cover - guard
         if self.source is not None:

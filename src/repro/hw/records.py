@@ -33,6 +33,9 @@ _EXT_STRUCT = struct.Struct("<IIHHIII")
 #: inline (field order: addr, value, size, flags, timestamp).
 RECORD_STRUCT = _STRUCT
 
+#: The 24-byte extended layout (the 16-byte fields, then old_value, pc).
+EXTENDED_RECORD_STRUCT = _EXT_STRUCT
+
 #: Flag bit: the address field holds a virtual address (on-chip logger).
 FLAG_VIRTUAL_ADDR = 0x0001
 
@@ -84,10 +87,15 @@ def encode_record(
     )
 
 
+def record_of(fields: tuple[int, ...]) -> LogRecord:
+    """Build a record from its unpacked :data:`RECORD_STRUCT` fields."""
+    addr, value, size, flags, timestamp = fields
+    return LogRecord(addr, value, size, timestamp, flags)
+
+
 def decode_record(data: bytes, offset: int = 0) -> LogRecord:
     """Decode one 16-byte record at ``offset`` in ``data``."""
-    addr, value, size, flags, timestamp = _STRUCT.unpack_from(data, offset)
-    return LogRecord(addr=addr, value=value, size=size, timestamp=timestamp, flags=flags)
+    return record_of(_STRUCT.unpack_from(data, offset))
 
 
 def decode_records(data: bytes) -> Iterator[LogRecord]:
@@ -140,11 +148,10 @@ def encode_extended_record(
     )
 
 
-def decode_extended_record(data: bytes, offset: int = 0) -> ExtendedLogRecord:
-    """Decode one 24-byte extended record at ``offset``."""
-    addr, value, size, flags, timestamp, old_value, pc = _EXT_STRUCT.unpack_from(
-        data, offset
-    )
+def extended_record_of(fields: tuple[int, ...]) -> ExtendedLogRecord:
+    """Build an extended record from its unpacked
+    :data:`EXTENDED_RECORD_STRUCT` fields."""
+    addr, value, size, flags, timestamp, old_value, pc = fields
     if not flags & FLAG_EXTENDED:
         raise LoggingError("record is not in the extended format")
     return ExtendedLogRecord(
@@ -156,3 +163,8 @@ def decode_extended_record(data: bytes, offset: int = 0) -> ExtendedLogRecord:
         old_value=old_value,
         pc=pc,
     )
+
+
+def decode_extended_record(data: bytes, offset: int = 0) -> ExtendedLogRecord:
+    """Decode one 24-byte extended record at ``offset``."""
+    return extended_record_of(_EXT_STRUCT.unpack_from(data, offset))

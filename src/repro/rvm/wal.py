@@ -37,8 +37,7 @@ from __future__ import annotations
 import enum
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro import probe
 from repro.backends.base import LogDevice
@@ -66,8 +65,11 @@ class EntryKind(enum.IntEnum):
     ABORT = 4
 
 
-@dataclass(frozen=True)
-class WalEntry:
+#: Entry kinds by their on-disk byte.
+_KINDS = {kind.value: kind for kind in EntryKind}
+
+
+class WalEntry(NamedTuple):
     """One decoded log entry."""
 
     kind: EntryKind
@@ -242,22 +244,29 @@ class WriteAheadLog:
     # Scanning (untimed: used at recovery and by truncation logic)
     # ------------------------------------------------------------------
     def entries(self) -> Iterator[WalEntry]:
-        """Decode entries in append order."""
+        """Decode entries in append order, from one read of ``[0, tail)``.
+
+        Every frame is checked as it is reached: a header or payload cut
+        short by ``tail``, or a payload failing its CRC, raises
+        :class:`RecoveryError`.
+        """
+        tail = self.tail
+        log = self.disk.peek(self.base, tail)
         pos = 0
-        while pos < self.tail:
-            if pos + _HEADER.size > self.tail:
+        while pos < tail:
+            if pos + _HEADER.size > tail:
                 raise RecoveryError("truncated entry header in WAL")
-            length, kind, crc = _HEADER.unpack_from(
-                self.disk.peek(self.base + pos, _HEADER.size)
-            )
+            length, code, crc = _HEADER.unpack_from(log, pos)
             pos += _HEADER.size
-            if pos + length > self.tail:
+            end = pos + length
+            if end > tail:
                 raise RecoveryError("truncated entry payload in WAL")
-            payload = self.disk.peek(self.base + pos, length)
+            payload = log[pos:end]
             if zlib.crc32(payload) != crc:
                 raise RecoveryError("WAL entry payload fails its CRC")
-            pos += length
-            yield self._decode(EntryKind(kind), payload)
+            pos = end
+            # Every kind is truthy; an unknown byte raises ValueError.
+            yield self._decode(_KINDS.get(code) or EntryKind(code), payload)
 
     def scan_recover(self) -> list[WalEntry]:
         """Rediscover the durable tail by scanning from the log head.
@@ -312,8 +321,18 @@ class WriteAheadLog:
         return {e.tid for e in self.entries() if e.kind is EntryKind.COMMIT}
 
     def committed_writes(self) -> Iterator[WalEntry]:
-        """WRITE entries of committed transactions, in log order."""
-        committed = self.committed_tids()
+        """WRITE entries of committed transactions, in log order.
+
+        One decode of the log: the writes are held until the scan has
+        seen every COMMIT, since a transaction's writes precede it.
+        """
+        committed = set()
+        writes = []
         for entry in self.entries():
-            if entry.kind is EntryKind.WRITE and entry.tid in committed:
+            if entry.kind is EntryKind.WRITE:
+                writes.append(entry)
+            elif entry.kind is EntryKind.COMMIT:
+                committed.add(entry.tid)
+        for entry in writes:
+            if entry.tid in committed:
                 yield entry

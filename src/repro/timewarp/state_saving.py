@@ -218,15 +218,14 @@ class LVMStateSaver(StateSaver):
 
         # 2. Roll forward: apply logged updates older than vt.
         cut_offset = self.log.append_offset
-        for offset, record in self.log.records_with_offsets():
-            seg_offset = self._to_offset(record)
+        for offset, seg_offset, value, size in self._view.scan():
             if seg_offset < MARKER_BYTES:
-                if record.value >= vt:
+                if value >= vt:
                     cut_offset = offset
                     break
                 continue
             probe.hit("timewarp.rollback.restore", cycle=proc.now)
-            self.working.write(seg_offset, record.value, record.size)
+            self.working.write(seg_offset, value, size)
             proc.compute(APPLY_RECORD_CYCLES)
             self.rollforward_records += 1
 
@@ -261,14 +260,13 @@ class LVMStateSaver(StateSaver):
         proc = self.scheduler.proc
         self.scheduler.machine.sync(proc.cpu)
         cut = None
-        for offset, record in self.log.records_with_offsets():
-            seg_offset = self._to_offset(record)
+        for offset, seg_offset, value, size in self._view.scan():
             if seg_offset < MARKER_BYTES:
-                if record.value >= gvt:
+                if value >= gvt:
                     cut = offset
                     break
                 continue
-            self.checkpoint.write(seg_offset, record.value, record.size)
+            self.checkpoint.write(seg_offset, value, size)
             if charge:
                 proc.compute(APPLY_RECORD_CYCLES)
         if cut is None:
@@ -276,13 +274,6 @@ class LVMStateSaver(StateSaver):
         else:
             self.log.truncate(cut)
         self.checkpoint_time = gvt
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _to_offset(self, record) -> int:
-        """Translate a log record to a working-segment offset."""
-        return self._view.offset_of(record)
 
 
 class CheckpointedLVMSaver(LVMStateSaver):
@@ -382,15 +373,14 @@ class CheckpointedLVMSaver(LVMStateSaver):
 
         # 2. Roll forward only the records since the snapshot.
         cut_offset = self.log.append_offset
-        for offset, record in self.log.records_with_offsets(start=snap_offset):
-            seg_offset = self._to_offset(record)
+        for offset, seg_offset, value, size in self._view.scan(start=snap_offset):
             if seg_offset < MARKER_BYTES:
-                if record.value >= vt:
+                if value >= vt:
                     cut_offset = offset
                     break
                 continue
             probe.hit("timewarp.rollback.restore", cycle=proc.now)
-            self.working.write(seg_offset, record.value, record.size)
+            self.working.write(seg_offset, value, size)
             proc.compute(APPLY_RECORD_CYCLES)
             self.rollforward_records += 1
 

@@ -172,3 +172,42 @@ class TestRvmRlvmEquivalence:
 
         for off in range(0, 16, 4):
             assert proc.read(va_r + off) == proc.read(va_l + off)
+
+
+class TestRlvmLogChecks:
+    """Commit and abort read the transaction's records with the batched
+    log scan; its marker and address checks still reject a bad log."""
+
+    @pytest.mark.parametrize("end", ["commit", "abort"])
+    def test_stale_marker_rejected(self, rlvm, proc, end):
+        va = rlvm.map("db", 4096)
+        txn = rlvm.begin()
+        txn.write(va, 1)
+        proc.write(rlvm.segments["db"].base_va, txn.tid + 7)
+        with pytest.raises(TransactionError, match="stale transaction marker"):
+            getattr(txn, end)()
+
+    @pytest.mark.parametrize("end", ["commit", "abort"])
+    def test_records_without_marker_rejected(self, rlvm, proc, end):
+        va = rlvm.map("db", 4096)
+        txn = rlvm.begin()
+        proc.machine.quiesce()
+        rlvm.segments["db"].log.truncate()  # drop the begin marker
+        txn.write(va, 1)
+        with pytest.raises(TransactionError, match="without a begin marker"):
+            getattr(txn, end)()
+
+    def test_record_outside_segment_rejected(self, rlvm, proc):
+        from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE
+        from repro.hw.records import encode_record
+
+        va = rlvm.map("db", 4096)
+        txn = rlvm.begin()
+        txn.write(va, 1)
+        proc.machine.quiesce()
+        log = rlvm.segments["db"].log
+        index, in_page = divmod(log.append_offset, PAGE_SIZE)
+        log.page(index).frame.write_bytes(in_page, encode_record(0xDEAD000, 0, 4, 0))
+        log.note_append(LOG_RECORD_SIZE)
+        with pytest.raises(TransactionError, match="outside the segment"):
+            txn.commit()
