@@ -16,7 +16,7 @@ deferred-copy source."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro import probe
@@ -56,10 +56,11 @@ class PageTableEntry:
     #: stores trap to the region's protection handler (section 5.1
     #: related work: page-protect checkpointing inside the VM)
     write_protected: bool = False
+    #: physical base address of ``frame`` (a PTE never changes frame)
+    base_paddr: int = field(init=False, repr=False)
 
-    @property
-    def base_paddr(self) -> int:
-        return self.frame.base_addr
+    def __post_init__(self) -> None:
+        self.base_paddr = self.frame.base_addr
 
 
 class AddressSpace:
@@ -168,6 +169,7 @@ class AddressSpace:
 
     def write(self, cpu: CPU, vaddr: int, value: int, size: int = 4) -> None:
         """Timed store of ``value`` at ``vaddr``."""
+        in_page = vaddr % PAGE_SIZE
         pte = self._tc.get(vaddr // PAGE_SIZE)
         if pte is None or pte.write_protected:
             pte = self._resolve(cpu, vaddr, size)
@@ -181,28 +183,25 @@ class AddressSpace:
                         f"store to write-protected page at {vaddr:#x}"
                     )
             self._tc[vaddr // PAGE_SIZE] = pte
-        elif vaddr % PAGE_SIZE + size > PAGE_SIZE:
+        elif in_page + size > PAGE_SIZE:
             raise SegmentError("access crosses a page boundary")
         region = pte.region
-        offset = pte.page_index * PAGE_SIZE + vaddr % PAGE_SIZE
         segment = region.segment
-        paddr = pte.base_paddr + vaddr % PAGE_SIZE
-
-        machine = self.machine
-        if pte.logged and machine.on_chip_logger is not None:
-            log = region.log_segment
-            old_value = segment.read(offset, size) if log.extended_records else 0
+        offset = pte.page_index * PAGE_SIZE + in_page
+        if not pte.logged:
             segment.write(offset, value, size)
-            cpu.cached_write(paddr)
-            machine.on_chip_logger.logged_write(
-                cpu, pte.log_index, vaddr, value, size, old_value
-            )
-        elif pte.logged:
+            cpu.cached_write(pte.base_paddr + in_page)
+            return
+        on_chip = self.machine.on_chip_logger
+        if on_chip is None:
             segment.write(offset, value, size)
-            cpu.write_through(paddr, value, size, log_tag=pte.log_index)
-        else:
-            segment.write(offset, value, size)
-            cpu.cached_write(paddr)
+            cpu.write_through(pte.base_paddr + in_page, value, size, pte.log_index)
+            return
+        log = region.log_segment
+        old_value = segment.read(offset, size) if log.extended_records else 0
+        segment.write(offset, value, size)
+        cpu.cached_write(pte.base_paddr + in_page)
+        on_chip.logged_write(cpu, pte.log_index, vaddr, value, size, old_value)
 
     def read(self, cpu: CPU, vaddr: int, size: int = 4) -> int:
         """Timed load from ``vaddr``."""

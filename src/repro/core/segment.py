@@ -30,6 +30,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints
 _ALL_LINES_DIRTY = (1 << LINES_PER_PAGE) - 1
 
 
+def _line_span(offset: int, size: int) -> int:
+    """Dirty-mask bits of the lines overlapping ``[offset, offset+size)``."""
+    first = offset // LINE_SIZE
+    return ((2 << ((offset + size - 1) // LINE_SIZE - first)) - 1) << first
+
+
 class SegmentManager:
     """User-level page-fault handling hook (Table 1: ``SegmentMan``).
 
@@ -76,10 +82,7 @@ class SegmentPage:
 
     def mark_dirty(self, offset: int, size: int) -> None:
         """Mark the lines overlapping ``[offset, offset+size)`` dirty."""
-        first = offset // LINE_SIZE
-        last = (offset + size - 1) // LINE_SIZE
-        for line in range(first, last + 1):
-            self.dc_dirty_mask |= 1 << line
+        self.dc_dirty_mask |= _line_span(offset, size)
 
     def line_dirty(self, offset: int) -> bool:
         """True if the line containing ``offset`` has been written."""
@@ -211,8 +214,9 @@ class Segment:
     # ------------------------------------------------------------------
     def read(self, offset: int, size: int) -> int:
         """Read an integer, honouring the deferred-copy source."""
-        self._check_range(offset, size)
         index, in_page = divmod(offset, PAGE_SIZE)
+        if offset < 0 or offset + size > self.size or in_page + size > PAGE_SIZE:
+            self._reject_access(offset, size)
         page = self._pages.get(index)
         if self.source is not None and (page is None or not page.line_dirty(in_page)):
             return self.source.read(self.source_offset + offset, size)
@@ -221,13 +225,23 @@ class Segment:
         return page.frame.read(in_page, size)
 
     def write(self, offset: int, value: int, size: int) -> None:
-        """Write an integer; only this segment is affected."""
-        self._check_range(offset, size)
+        """Write an integer; only this segment is affected.
+
+        On a deferred-copy destination, lines the write only partly
+        covers are first filled from the source, then marked dirty;
+        both steps are skipped when every line is already dirty.
+        """
         index, in_page = divmod(offset, PAGE_SIZE)
-        page = self.page(index)
+        if offset < 0 or offset + size > self.size or in_page + size > PAGE_SIZE:
+            self._reject_access(offset, size)
+        page = self._pages.get(index)
+        if page is None:
+            page = self.page(index)
         if self.source is not None:
-            self._fill_partial_lines(page, in_page, size)
-            page.mark_dirty(in_page, size)
+            span = _line_span(in_page, size)
+            if page.dc_dirty_mask & span != span:
+                self._fill_partial_lines(page, in_page, size)
+                page.dc_dirty_mask |= span
         page.frame.write(in_page, value, size)
 
     def read_bytes(self, offset: int, length: int) -> bytes:
@@ -276,9 +290,7 @@ class Segment:
         base = index * PAGE_SIZE
         if page is None or not page.dc_dirty:
             return self.source.read_bytes(self.source_offset + base + in_page, length)
-        first = in_page // LINE_SIZE
-        last = (in_page + length - 1) // LINE_SIZE
-        span = ((1 << (last - first + 1)) - 1) << first
+        span = _line_span(in_page, length)
         covered = page.dc_dirty_mask & span
         if covered == span:
             # Every line in the range is dirty: one frame read.
@@ -325,6 +337,13 @@ class Segment:
                 self.source_offset + base + line_off, LINE_SIZE
             )
             page.frame.write_bytes(line_off, data)
+
+    def _reject_access(self, offset: int, size: int) -> None:
+        """Raise for an integer access outside the segment or across a page."""
+        self._check_range(offset, size)
+        raise SegmentError(
+            f"{size}-byte access at {offset} crosses a page boundary"
+        )
 
     def _check_range(self, offset: int, length: int) -> None:
         if offset < 0 or offset + length > self.size:

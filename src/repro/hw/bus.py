@@ -84,10 +84,19 @@ class SystemBus:
 
         Returns the completion cycle.  Snoopers see the write at its
         completion time, which is when the logger latches it into the
-        write FIFO.
+        write FIFO.  The transaction itself is :meth:`acquire`, inlined
+        (this runs once per write-through store).
         """
-        complete = self.acquire(request_cycle, bus_cycles)
+        start = self._busy_until
+        if request_cycle > start:
+            start = request_cycle
+        complete = start + bus_cycles
+        self._busy_until = complete
+        self.total_busy_cycles += bus_cycles
+        self.transaction_count += 1
         p = probe._ACTIVE
+        if p is not None and "bus.txn" in p:
+            p["bus.txn"](request_cycle, start, bus_cycles)
         if p is not None and write.log_tag is not None and "logged.run" in p:
             p["logged.run"](write.cpu_index, write.paddr, write.size, complete)
         for snooper in self._snoopers:

@@ -116,12 +116,32 @@ class CPU:
             self._advance(self._l2_fill_cycles(paddr))
 
     def cached_write(self, paddr: int) -> None:
-        """Charge an ordinary (write-back, unlogged) store."""
-        self.stats.stores += 1
-        if self.l1.access(paddr):
-            self._advance(self.config.cached_write_cycles)
+        """Charge an ordinary (write-back, unlogged) store.
+
+        Runs once per unlogged store: :meth:`_advance` and the L1 tag
+        check (:meth:`L1Cache.access`) are inlined, as in
+        :meth:`write_through`.
+        """
+        stats = self.stats
+        now = self._now
+        if self._resume_at > now:
+            stats.suspend_cycles += self._resume_at - now
+            now = self._resume_at
+        stats.stores += 1
+        l1 = self.l1
+        line = paddr // l1.line_size
+        index = line % l1.num_lines
+        if l1._tags.get(index) == line:
+            l1.hits += 1
+            now += self.config.cached_write_cycles
         else:
-            self._advance(self._l2_fill_cycles(paddr))
+            l1.misses += 1
+            l1._tags[index] = line
+            now += self._l2_fill_cycles(paddr)
+        self._now = now
+        clock = self.clock
+        if now > clock._now:
+            clock._now = now
 
     def write_through(
         self, paddr: int, value: int, size: int, log_tag: int | None
@@ -132,34 +152,56 @@ class CPU:
         data cache in write-through mode for the logged page", section
         3.2).  Returns the bus-completion cycle.  The logger snoops the
         transaction when ``log_tag`` is not None.
+
+        This runs once per logged store, so the suspension check, the
+        L1 tag check (:meth:`L1Cache.access`) and the clock updates
+        (:meth:`Clock.advance_to`) are inlined; the local time is kept
+        in ``now`` until the bus call, which may suspend this CPU.
         """
-        self._apply_suspension()
-        self.stats.stores += 1
-        self.stats.write_through_stores += 1
+        stats = self.stats
+        now = self._now
+        if self._resume_at > now:
+            stats.suspend_cycles += self._resume_at - now
+            now = self._resume_at
+        stats.stores += 1
+        stats.write_through_stores += 1
         buf = self._write_buffer
-        while buf and buf[0] <= self._now:
+        while buf and buf[0] <= now:
             buf.popleft()
-        if len(buf) >= self.config.write_buffer_depth:
+        config = self.config
+        if len(buf) >= config.write_buffer_depth:
             # Buffer full: stall until the oldest entry retires.
-            self.stats.write_buffer_stalls += 1
-            self._now = buf.popleft()
+            stats.write_buffer_stalls += 1
+            now = buf.popleft()
         # The store itself executes like any store — it updates the L1
         # (write-through mode writes the cache too) before the bus copy
         # is buffered.
-        if self.l1.access(paddr):
-            self._advance(self.config.cached_write_cycles)
+        l1 = self.l1
+        line = paddr // l1.line_size
+        index = line % l1.num_lines
+        if l1._tags.get(index) == line:
+            l1.hits += 1
+            now += config.cached_write_cycles
         else:
-            self._advance(self._l2_fill_cycles(paddr))
-        write = BusWrite(
-            paddr=paddr, value=value, size=size, log_tag=log_tag, cpu_index=self.index
-        )
+            l1.misses += 1
+            l1._tags[index] = line
+            now += self._l2_fill_cycles(paddr)
+        self._now = now
+        clock = self.clock
+        if now > clock._now:
+            clock._now = now
         complete = self.bus.write_transaction(
-            self._now, self.config.write_through_bus_cycles, write
+            now,
+            config.write_through_bus_cycles,
+            BusWrite(paddr, value, size, log_tag, self.index),
         )
         buf.append(complete)
-        self.clock.advance_to(complete)
+        if complete > clock._now:
+            clock._now = complete
         # An overload raised during the snoop may have suspended us.
-        self._apply_suspension()
+        if self._resume_at > self._now:
+            stats.suspend_cycles += self._resume_at - self._now
+            self._now = self._resume_at
         return complete
 
     def buffered_bus_write(self, bus_cycles: int) -> int:

@@ -100,7 +100,10 @@ class LoggingFaultHandler(Protocol):
         ``records_appended += 1``) instead of calling
         :meth:`record_written` once per record; return None to keep the
         per-record callback.  Only NORMAL-mode logs whose accounting is
-        exactly that pair of increments may be returned.
+        exactly that pair of increments may be returned.  The logger
+        keeps the answer until the handler is re-attached, or until
+        :meth:`Logger.set_log_mode` or :meth:`Logger.unload_log` is
+        called for that log.
         """
         ...  # pragma: no cover - protocol
 
@@ -159,6 +162,38 @@ class Logger:
         #: fields as arrays, so its next run need not decode them again;
         #: that run checks by identity that they are still the ones queued
         self.bulk_tail = None
+        #: log_index -> the handler's ``log_segment_for`` answer (a
+        #: LogSegment the drain may account inline, or None); dropped
+        #: when the handler, or that log's mode or loading, changes
+        self._sinks: dict[int, object] = {}
+        self._bind_drain()
+
+    def _bind_drain(self) -> None:
+        """(Re)build the bindings :meth:`_drain_fast` unpacks per call.
+
+        Every container here is created in ``__init__`` and only ever
+        mutated in place (PMT slots, log-table entries, modes, the
+        absorbing set, frames, sinks), so one tuple stays valid for the
+        logger's life; the fault handler is the one binding that is
+        replaced, and :meth:`attach_fault_handler` rebuilds the tuple.
+        """
+        pmt = self.pmt
+        config = self.config
+        self._drain_env = (
+            config.logger_service_cycles,
+            pmt._slots,
+            pmt._index_mask,
+            pmt.index_bits,
+            self.log_table._entries,
+            self._modes,
+            self._absorbing,
+            self._fault_handler,
+            self._sinks,
+            self.bus,
+            self.memory._frames,
+            self.clock._timestamp_divider,
+            config.log_dma_bus_cycles,
+        )
 
     # ------------------------------------------------------------------
     # Kernel-facing configuration
@@ -166,6 +201,8 @@ class Logger:
     def attach_fault_handler(self, handler: LoggingFaultHandler) -> None:
         """Register the kernel's logging-fault / overload handler."""
         self._fault_handler = handler
+        self._sinks.clear()
+        self._bind_drain()
 
     def set_default_page(self, paddr: int) -> None:
         """Set the kernel's default absorption page (section 3.2)."""
@@ -174,6 +211,7 @@ class Logger:
     def set_log_mode(self, log_index: int, mode: LogMode) -> None:
         """Declare the logging mode for log-table slot ``log_index``."""
         self._modes[log_index] = mode
+        self._sinks.pop(log_index, None)
 
     def load_direct_mapping(self, src_paddr: int, dest_page_base: int) -> None:
         """Map a source page to its direct-mapped log destination page."""
@@ -200,6 +238,7 @@ class Logger:
         record the log segment's true length, or None if not loaded.
         """
         self._modes.pop(log_index, None)
+        self._sinks.pop(log_index, None)
         self._absorbing.discard(log_index)
         self.pmt.invalidate_log(log_index)
         entry = self.log_table.unload(log_index)
@@ -212,15 +251,26 @@ class Logger:
         """Observe a completed bus write (SystemBus snooper hook).
 
         Only writes whose page mapping asserted the bus "log" signal are
-        latched (section 3.1).
+        latched (section 3.1).  The pipeline first services whatever
+        completes by ``complete_cycle``: this is :meth:`drain`, inlined,
+        as this runs once per logged store.
         """
         if write.log_tag is None:
             return
-        self.drain(complete_cycle)
-        result = self.write_fifo.push(complete_cycle, write)
         p = probe._ACTIVE
+        fifo = self.write_fifo
+        entries = fifo._entries
+        if entries:
+            ready = entries[0][0]
+            free = self._service_free
+            service = self.config.logger_service_cycles
+            if (ready if ready > free else free) + service <= complete_cycle:
+                self._drain_fast(complete_cycle)
+                if p is not None and "logger.drain" in p:
+                    p["logger.drain"](complete_cycle)
+        result = fifo.push(complete_cycle, write)
         if p is not None and "logger.fifo_depth" in p:
-            p["logger.fifo_depth"](complete_cycle, len(self.write_fifo._entries))
+            p["logger.fifo_depth"](complete_cycle, len(entries))
         if result is PushResult.THRESHOLD:
             self._handle_overload(complete_cycle)
         elif result is PushResult.OVERFLOW:
@@ -265,15 +315,30 @@ class Logger:
 
         This is the pipeline's hot loop: the NORMAL-mode, PMT-hit,
         valid-log-table-entry case is fully inlined (one dict probe for
-        the PMT slot, the log-table bump, the struct pack, the DMA bus
-        acquire, and the frame write), with counter updates batched and
-        written back once.  Any deviation — PMT miss, boundary fault,
-        absorbing log, non-NORMAL mode — falls back to the generic
-        :meth:`_process`, which produces bit-identical state to the old
-        record-at-a-time loop.
+        the PMT slot, the log-table bump, the struct pack into the
+        frame, and the DMA bus accounting), with counter updates batched
+        and written back once.  Any deviation — PMT miss, boundary
+        fault, absorbing log, non-NORMAL mode — falls back to the
+        generic :meth:`_process`, which produces bit-identical state to
+        the old record-at-a-time loop.  The structures it reads come
+        from one tuple built by :meth:`_bind_drain`.
         """
         entries = self.write_fifo._entries
-        service = self.config.logger_service_cycles
+        (
+            service,
+            slots,
+            index_mask,
+            index_bits,
+            lt_entries,
+            modes,
+            absorbing,
+            handler,
+            sinks,
+            bus,
+            frames,
+            divider,
+            dma_cycles,
+        ) = self._drain_env
         p = probe._ACTIVE
         if p is not None and p.per_record:
             # Injection sites and trace spans live on the generic path;
@@ -290,20 +355,7 @@ class Logger:
                 self._process(write, complete)
             return
         free = self._service_free
-        pmt = self.pmt
-        slots = pmt._slots
-        index_mask = pmt._index_mask
-        index_bits = pmt.index_bits
-        lt_entries = self.log_table._entries
-        modes = self._modes
-        absorbing = self._absorbing
-        handler = self._fault_handler
-        bus = self.bus
-        frames = self.memory._frames
-        stats = self.stats
-        divider = self.clock._timestamp_divider
-        dma_cycles = self.config.log_dma_bus_cycles
-        pack = RECORD_STRUCT.pack
+        pack_into = RECORD_STRUCT.pack_into
         normal = LogMode.NORMAL
         record_size = LOG_RECORD_SIZE
         busy = bus._busy_until
@@ -311,10 +363,6 @@ class Logger:
         transactions = 0
         logged = 0
         lookups = 0
-        #: per-call cache: log_index -> LogSegment (inline appends allowed)
-        #: or None (route through handler.record_written).  Nothing can
-        #: rebind a log while one drain call runs, so caching is safe.
-        sinks: dict[int, object] = {}
         while entries:
             ready, write = entries[0]
             start = ready if ready > free else free
@@ -323,7 +371,8 @@ class Logger:
                 break
             entries.popleft()
             free = complete
-            ppn = write.paddr >> _PAGE_SHIFT
+            paddr = write.paddr
+            ppn = paddr >> _PAGE_SHIFT
             slot = slots.get(ppn & index_mask)
             if slot is None or slot.tag != ppn >> index_bits:
                 # PMT miss: generic path (it performs and counts its own
@@ -355,23 +404,21 @@ class Logger:
             entry.log_address = advanced
             if not advanced % PAGE_SIZE:
                 entry.valid = False
-            payload = pack(
-                write.paddr & 0xFFFFFFFF,
+            dma_start = complete if complete > busy else busy
+            busy = dma_start + dma_cycles
+            bus_busy += dma_cycles
+            transactions += 1
+            # (an unbacked log page raises AddressError, as a DMA would)
+            frame = frames.get(dest >> _PAGE_SHIFT) or self.memory.frame_of(dest)
+            pack_into(
+                frame.data,
+                dest % PAGE_SIZE,
+                paddr & 0xFFFFFFFF,
                 write.value & 0xFFFFFFFF,
                 write.size,
                 0,
                 (complete // divider) & 0xFFFFFFFF,
             )
-            dma_start = complete if complete > busy else busy
-            busy = dma_start + dma_cycles
-            bus_busy += dma_cycles
-            transactions += 1
-            frame = frames.get(dest >> _PAGE_SHIFT)
-            if frame is not None:
-                offset = dest % PAGE_SIZE
-                frame.data[offset : offset + record_size] = payload
-            else:
-                self.memory.write_bytes(dest, payload)
             logged += 1
             if handler is not None:
                 sink = sinks.get(log_index, _UNSET)
@@ -388,8 +435,8 @@ class Logger:
         bus._busy_until = busy
         bus.total_busy_cycles += bus_busy
         bus.transaction_count += transactions
-        stats.records_logged += logged
-        pmt.lookup_count += lookups
+        self.stats.records_logged += logged
+        self.pmt.lookup_count += lookups
 
     @property
     def idle_at(self) -> int:

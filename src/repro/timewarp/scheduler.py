@@ -45,12 +45,26 @@ class ProcessedEvent:
 
 
 class _Context:
-    """ModelContext implementation bound to a scheduler + current event."""
+    """ModelContext implementation bound to a scheduler + current event.
+
+    Built after the scheduler's state saver has bound its working
+    region, so each local object's state address is fixed: state
+    accesses go straight to the address space with one dict lookup.
+    """
 
     def __init__(self, scheduler: "Scheduler") -> None:
         self._s = scheduler
         self._event: Event | None = None
         self._send_index = 0
+        proc = scheduler.proc
+        self._aspace = proc.address_space()
+        self._cpu = proc.cpu
+        saver = scheduler.saver
+        #: local object -> virtual address of its state slot
+        self._object_va = {
+            obj: saver.object_va(local)
+            for obj, local in scheduler._local_index.items()
+        }
 
     @property
     def now(self) -> int:
@@ -59,13 +73,20 @@ class _Context:
     def compute(self, cycles: int) -> None:
         self._s.proc.compute(cycles)
 
+    def _va(self, obj: int) -> int:
+        va = self._object_va.get(obj)
+        if va is None:
+            self._s.local_index(obj)  # raises: not a local object
+        return va
+
     def read_state(self, obj: int, offset: int) -> int:
-        local = self._s.local_index(obj)
-        return self._s.proc.read(self._s.saver.object_va(local) + offset)
+        return self._aspace.read(self._cpu, self._va(obj) + offset)
 
     def write_state(self, obj: int, offset: int, value: int) -> None:
-        local = self._s.local_index(obj)
-        self._s.proc.write(self._s.saver.object_va(local) + offset, value)
+        va = self._object_va.get(obj)
+        if va is None:
+            va = self._va(obj)
+        self._aspace.write(self._cpu, va + offset, value)
 
     def schedule(self, dest_obj: int, delay: int, payload: int = 0) -> None:
         if delay < 1:
@@ -115,13 +136,13 @@ class Scheduler:
         self._cancelled: dict[int, int] = {}
         self.processed: list[ProcessedEvent] = []
         self._current: ProcessedEvent | None = None
-        self._ctx = _Context(self)
 
         self.events_processed = 0
         self.events_rolled_back = 0
         self.rollback_count = 0
 
         saver.attach(self)
+        self._ctx = _Context(self)
 
     # ------------------------------------------------------------------
     # Queue management

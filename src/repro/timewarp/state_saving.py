@@ -260,15 +260,21 @@ class LVMStateSaver(StateSaver):
         proc = self.scheduler.proc
         self.scheduler.machine.sync(proc.cpu)
         cut = None
+        apply = self.checkpoint.write
+        applied = 0
         for offset, seg_offset, value, size in self._view.scan():
             if seg_offset < MARKER_BYTES:
                 if value >= gvt:
                     cut = offset
                     break
                 continue
-            self.checkpoint.write(seg_offset, value, size)
-            if charge:
-                proc.compute(APPLY_RECORD_CYCLES)
+            apply(seg_offset, value, size)
+            applied += 1
+        if charge and applied:
+            # One compute call for the whole pass: compute() charges
+            # are additive, so this is cycle-identical to charging each
+            # record as it is applied.
+            proc.compute(applied * APPLY_RECORD_CYCLES)
         if cut is None:
             self.log.truncate()
         else:

@@ -39,6 +39,30 @@ class TestSegmentBasics:
         with pytest.raises(SegmentError):
             seg.write(-4, 0, 4)
 
+    @pytest.mark.parametrize("offset,size", [(PAGE_SIZE - 2, 4), (PAGE_SIZE - 4, 8)])
+    def test_integer_access_across_a_page_rejected(self, machine, offset, size):
+        # Integer accesses live in one frame; one that straddles two
+        # pages is a SegmentError (as AddressSpace._resolve raises), not
+        # a struct.error from the frame, and it leaves both pages alone.
+        seg = StdSegment(2 * PAGE_SIZE, machine=machine)
+        with pytest.raises(SegmentError, match="crosses a page boundary"):
+            seg.write(offset, 0x01020304, size)
+        with pytest.raises(SegmentError, match="crosses a page boundary"):
+            seg.read(offset, size)
+        assert seg.read_bytes(0, 2 * PAGE_SIZE) == bytes(2 * PAGE_SIZE)
+
+    def test_integer_access_across_a_page_rejected_on_deferred_copy(self, machine):
+        src = StdSegment(2 * PAGE_SIZE, machine=machine)
+        src.write_bytes(PAGE_SIZE - 8, bytes(range(1, 17)))
+        seg = StdSegment(2 * PAGE_SIZE, machine=machine)
+        seg.source_segment(src)
+        with pytest.raises(SegmentError, match="crosses a page boundary"):
+            seg.write(PAGE_SIZE - 2, 0, 4)
+        with pytest.raises(SegmentError, match="crosses a page boundary"):
+            seg.read(PAGE_SIZE - 2, 4)
+        assert seg.read_bytes(PAGE_SIZE - 8, 16) == bytes(range(1, 17))
+        assert not any(page.dc_dirty for page in seg.pages())
+
     def test_bytes_span_pages(self, machine):
         seg = StdSegment(2 * PAGE_SIZE, machine=machine)
         data = bytes(range(1, 9))

@@ -12,13 +12,21 @@ Each class pins a bug that existed in the original code:
   interrupt and mis-attributing the lost record).
 * ``CPU.drain_write_buffer`` / ``reset_time`` interaction with the
   overload-suspension ``_resume_at``.
+
+It also pins what ``Logger._drain_fast`` keeps across calls (its
+bindings tuple and the per-log sink answers): a fault handler, PMT
+entry, log mode or loaded log changed between two stores must be seen
+by the very next drain.
 """
 
+from repro.core.log_segment import LogSegment
+from repro.core.region import StdRegion
+from repro.core.segment import StdSegment
 from repro.hw.bus import BusWrite, SystemBus
 from repro.hw.clock import Clock
 from repro.hw.cpu import CPU
 from repro.hw.fifo import HardwareFifo, PushResult
-from repro.hw.logger import Logger
+from repro.hw.logger import LogMode, Logger
 from repro.hw.memory import PhysicalMemory
 from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE, MachineConfig
 from repro.hw.records import decode_record
@@ -212,3 +220,119 @@ class TestCpuTimeControl:
         # The global clock saw the drain before local time was zeroed.
         assert cpu.clock.now >= complete
         assert cpu.now == 0
+
+
+class SinkHandler(ScriptedHandler):
+    """A handler that lets the logger account records inline."""
+
+    class Sink:
+        append_offset = 0
+        records_appended = 0
+
+    def __init__(self, memory, logger):
+        super().__init__(memory, logger)
+        self.sink = self.Sink()
+
+    def log_segment_for(self, log_index):
+        return self.sink
+
+
+def _ready_logger(handler_cls=ScriptedHandler):
+    """A logger whose log 1 serves one data frame; returns the pieces."""
+    config = MachineConfig(memory_bytes=4 * 1024 * 1024)
+    memory = PhysicalMemory(config.num_frames)
+    logger = Logger(config, memory, SystemBus(), Clock())
+    handler = handler_cls(memory, logger)
+    logger.attach_fault_handler(handler)
+    frame = memory.allocate_frame()
+    logger.pmt.load(frame.base_addr, 1)
+    logger.log_table.load(1, handler.frames[0].base_addr)
+    handler.next_page = 1
+    return logger, handler, memory, frame
+
+
+def _store(logger, frame, cycle, value=7):
+    """One logged store at ``cycle``, drained right away."""
+    logger.snoop_write(cycle, BusWrite(frame.base_addr, value, 4, 1, 0))
+    logger.drain(cycle + 10 * logger.config.logger_service_cycles)
+
+
+class TestDrainSeesRebinding:
+    """State changed between two stores reaches the next drain."""
+
+    def test_reattached_handler_gets_the_next_record(self):
+        logger, first, memory, frame = _ready_logger()
+        _store(logger, frame, 0)
+        second = ScriptedHandler(memory, logger)
+        logger.attach_fault_handler(second)
+        _store(logger, frame, 1000)
+        assert len(first.written) == 1
+        assert len(second.written) == 1
+
+    def test_reattached_handler_drops_the_cached_sink(self):
+        logger, first, memory, frame = _ready_logger(SinkHandler)
+        _store(logger, frame, 0)
+        assert first.sink.records_appended == 1
+        second = ScriptedHandler(memory, logger)
+        logger.attach_fault_handler(second)
+        _store(logger, frame, 1000)
+        assert first.sink.records_appended == 1
+        dest = first.frames[0].base_addr + LOG_RECORD_SIZE
+        assert second.written == [(1, dest, LOG_RECORD_SIZE)]
+
+    def test_invalidated_pmt_entry_faults_on_the_next_store(self):
+        logger, handler, memory, frame = _ready_logger()
+        _store(logger, frame, 0)
+        logger.pmt.invalidate(frame.base_addr)
+        _store(logger, frame, 1000)
+        assert logger.stats.pmt_fault_count == 1
+        assert logger.stats.records_dropped == 1  # the handler maps no log
+        assert len(handler.written) == 1
+
+    def test_reloaded_pmt_entry_redirects_the_next_store(self):
+        logger, handler, memory, frame = _ready_logger()
+        other_log = handler.frames[2].base_addr
+        logger.log_table.load(2, other_log)
+        _store(logger, frame, 0, value=0x11)
+        logger.pmt.load(frame.base_addr, 2)
+        _store(logger, frame, 1000, value=0x22)
+        assert [w[0] for w in handler.written] == [1, 2]
+        record = decode_record(memory.read_bytes(other_log, LOG_RECORD_SIZE))
+        assert record.value == 0x22
+
+    def test_log_mode_and_unload_drop_the_cached_sink(self):
+        logger, handler, memory, frame = _ready_logger(SinkHandler)
+        _store(logger, frame, 0)
+        sink, handler.sink = handler.sink, None
+        logger.set_log_mode(1, LogMode.NORMAL)
+        _store(logger, frame, 1000)
+        assert sink.records_appended == 1
+        assert len(handler.written) == 1
+
+        handler.sink = sink
+        logger.unload_log(1)
+        logger.set_log_mode(1, LogMode.NORMAL)
+        logger.pmt.load(frame.base_addr, 1)
+        logger.log_table.load(1, handler.frames[2].base_addr)
+        _store(logger, frame, 2000)
+        assert sink.records_appended == 2
+        assert len(handler.written) == 1
+
+
+def test_relogged_region_accounts_to_its_new_log(machine, proc):
+    """Kernel level: unlog a region and log it to another segment;
+    records now land in the new log segment."""
+    region = StdRegion(StdSegment(PAGE_SIZE, machine=machine))
+    first = LogSegment(size=4 * PAGE_SIZE, machine=machine)
+    region.log(first)
+    va = region.bind(proc.address_space())
+    proc.write(va, 1)
+    machine.quiesce()
+    region.unlog()
+    second = LogSegment(size=4 * PAGE_SIZE, machine=machine)
+    region.log(second)
+    proc.write(va + 4, 2)
+    proc.write(va + 8, 3)
+    machine.quiesce()
+    assert first.records_appended == 1
+    assert [r.value for r in second.records()] == [2, 3]
