@@ -3,7 +3,8 @@
 A :class:`LogTap` follows one :class:`~repro.core.log_segment.LogSegment`
 by cursor, decoding only the tail appended since its last visit and
 feeding the :mod:`repro.analytics.core` folds.  All reads are *untimed
-functional reads* (``Segment.read_bytes``), so an attached tap is
+functional reads* of the log's frames (``LogSegment.page_views``, the
+views its decoder reads), so an attached tap is
 cycle- and log-record-identical to no tap by construction — the
 exactness test in ``tests/analytics`` holds this.
 
@@ -29,6 +30,7 @@ import numpy as np
 from repro import probe
 from repro.obs.core import Observability
 from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE
+from repro.hw.records import RECORD_DTYPE
 from repro.analytics.core import (
     DEFAULT_HEAT_HALF_LIFE,
     DEFAULT_WSS_WINDOW,
@@ -107,15 +109,17 @@ class LogTap:
             return 0
         prev_last_ts = self.stats.last_timestamp
         if self._columns:
-            # Column decode without per-record Python: a 16-byte record
-            # is four little-endian words (addr, value, size|flags<<16,
-            # timestamp), so strided views give whole columns at once
-            # and the folds see only per-page aggregates.
-            data = log.read_bytes(cursor, tail - cursor)
-            words = np.frombuffer(data, dtype="<u4")
-            addrs = words[0::4]
-            stamps = words[3::4]
-            sizes = np.frombuffer(data, dtype="<u2")[4::8]
+            # Column decode without per-record Python: the log's page
+            # views read as numpy records (in place when the tail sits
+            # in one page), so the fields are whole columns at once and
+            # the folds see only per-page aggregates.
+            views = [view for _, view in log.page_views(cursor)]
+            records = np.frombuffer(
+                views[0] if len(views) == 1 else b"".join(views), RECORD_DTYPE
+            )
+            addrs = records["addr"]
+            stamps = records["ts"]
+            sizes = records["size"]
             pages = addrs >> _PAGE_SHIFT
             uniq, counts = np.unique(pages, return_counts=True)
             page_counts = dict(zip(uniq.tolist(), counts.tolist()))

@@ -13,32 +13,39 @@ Cached (unlogged) stores and loads tag-check the L1 once per cache line
 (:func:`_l1_run`) and advance the CPU clock once per run.
 
 A logged page-run on the prototype bus logger is charged one *event* at
-a time, not one word at a time (:func:`_write_run_bus_logged`).  With a
-depth-1 write buffer every store waits for the previous one's bus write,
-so between events a word costs the bus write plus its L1 charge (hit or
-line fill): word completion times are a prefix sum, and the next event
-is found by bisection.  The events are
+a time, not one word at a time (:func:`_write_run_bus_logged`).  This
+module finds the events on the CPU side; what the logger does at each
+one is the logger's own timing model (``repro.hw.logger``), called once
+per drain or per log-page stretch.  With a depth-1 write buffer every
+store waits for the previous one's bus write, so between events a word
+costs the bus write plus its L1 charge (hit or line fill): word
+completion times are a prefix sum, and the next event is found by
+bisection.  The events are
 
 * a record's logger service completing — the word whose bus write
-  reaches it drains the FIFO, and the next word waits for the ``k``
-  record DMAs (``bus + max(l1, dma·k)``);
-* the FIFO rising above the overload threshold — a backlogged logger
-  completes one record per service time, so the overload flush is
-  arithmetic too;
-* a log-page boundary, or any record the inline path does not model
-  (PMT miss, invalid log-table entry, absorbing log, special mode),
-  which goes through ``Logger._process`` with the shared state
-  synchronised;
+  reaches it drains the FIFO: the logger serves the due records
+  (``Logger._backlog``) and says when their DMAs hold the bus
+  (``Logger._dma``), which the next word then waits for;
+* the FIFO rising above the overload threshold — the logger raises the
+  overload (``Logger._overload_raised``), a backlogged logger completes
+  one record per service time, so the flush is arithmetic too, and the
+  logger then reports and serves it (``Logger._overload_served``);
+* a log-page boundary, or any record ``Logger._target`` does not let
+  skip the generic path (PMT miss, invalid log-table entry, absorbing
+  log, special mode), which goes through ``Logger._process``
+  (``Logger._fallback``);
 * the end of the run.
 
 When the logger is slower than any store (the prototype's 28-cycle
 service against a 6- to 13-cycle store), every drain takes exactly one
-record, so the drains are found one bisection each without leaving the
-prefix sum; otherwise (a faster logger, a FIFO that can overflow) each
-drain is a general event step.  With a deeper write buffer a store need
-not wait for the previous one, and every access is stepped on its own.
-All of it is one function.  Serviced records are packed one log page at
-a time by one numpy pass (:func:`_emit_records`).
+record, whose DMA follows the draining store at once, so the drains are
+found one bisection each without leaving the prefix sum; the store after
+a drain waits for that DMA as long as ``Logger._dma`` says one record's
+DMA holds the bus.  Otherwise (a faster logger, a FIFO that can overflow)
+each drain is a general event step.  With a deeper write buffer a store
+need not wait for the previous one, and every access is stepped on its
+own.  All of it is one function.  Serviced records are written one log
+page at a time (``Logger._write``).
 
 The word-at-a-time path is taken instead when an attached probe needs
 per-record events (``probe.per_record``), with a modeled L2, with extra
@@ -60,9 +67,8 @@ import numpy as np
 
 from repro import probe
 from repro.errors import ProtectionError
-from repro.hw.bus import BusWrite
-from repro.hw.logger import LogMode
-from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE
+from repro.hw.bus import BusWrite, SystemBus
+from repro.hw.params import PAGE_SIZE
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.hw.cpu import CPU
@@ -73,12 +79,6 @@ _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 _PAGE_MASK = PAGE_SIZE - 1
 #: "No event": later than any cycle a run can reach.
 _NEVER = 1 << 62
-
-#: The 16-byte record layout of :data:`repro.hw.records.RECORD_STRUCT`
-#: (addr, value, size, flags, timestamp) as a numpy record.
-_RECORD_DTYPE = np.dtype(
-    [("addr", "<u4"), ("value", "<u4"), ("size", "<u2"), ("flags", "<u2"), ("ts", "<u4")]
-)
 
 
 def access_steps(vaddr: int, length: int) -> list[tuple[int, int]]:
@@ -349,19 +349,9 @@ def _write_run_bus_logged(
     capacity = fifo.capacity
     threshold = fifo.threshold
     service = config.logger_service_cycles
-    dma = config.log_dma_bus_cycles
     logger_stats = logger.stats
-    pmt = logger.pmt
-    slots = pmt._slots
-    index_mask = pmt._index_mask
-    index_bits = pmt.index_bits
-    lt_entries = logger.log_table._entries
-    modes = logger._modes
-    absorbing = logger._absorbing
-    handler = logger._fault_handler
-    frames = machine.memory._frames
-    normal = LogMode.NORMAL
-    record_size = LOG_RECORD_SIZE
+    backlog = logger._backlog
+    dma = logger._dma
 
     # CPU side: step[j] = bus write + L1 charge of access j, and
     # Q[j + 1] = step[0] + ... + step[j].
@@ -376,12 +366,17 @@ def _write_run_bus_logged(
     Qa = np.zeros(n + 1, np.int64)
     np.cumsum(step, out=Qa[1:])
     Q = Qa.tolist()
-    # A drain's DMA delays the next access by extra[j] over its step.
-    extra = np.maximum(dma - (step - bus_write), 0).tolist()
+    # A drain at access j - 1 takes records already serviced when its
+    # bus write completes, so their DMAs follow that write at once.  For
+    # one record, the logger's DMA rule says how long it holds the bus
+    # (asked of an idle scratch bus); access j waits for it by extra[j]
+    # over its step.
+    hold = dma((0,), SystemBus())[1]
+    extra = np.maximum(hold - (step - bus_write), 0).tolist()
     extra.append(0)
     # Drains service one record each and never overflow the FIFO.
     steady = (
-        service > bus_write + max(hit, config.l2_hit_cycles, dma)
+        service > bus_write + max(hit, config.l2_hit_cycles, hold)
         and threshold < capacity
     )
     run_ppn = paddr_base >> _PAGE_SHIFT
@@ -430,12 +425,12 @@ def _write_run_bus_logged(
         head_done = (ready if ready > free else free) + service
     # Records serviced inline but not yet written (``dones``: their
     # service completions; they are the items just before ``head``),
-    # and the log they go to: ``room`` more records fit in its page,
-    # and the PMT maps every page in ``verified`` to it.
+    # and where they go (``target``, from ``Logger._target``): ``room``
+    # more records fit in its log page, and the PMT maps every page in
+    # ``verified`` to its log.
     dones: list[int] = []
     verified: set[int] = set()
-    tgt_log = -1
-    entry = sink = frame_data = None
+    target = None
     room = 0
     # Word completion of access j is offs[s] + Q[j + 1] for the last
     # stretch start starts[s] <= j.
@@ -530,12 +525,13 @@ def _write_run_bus_logged(
             if drains and e == lo - 1:
                 now -= extra[e]
             stalls += e - i
-            bus_busy += bus_write * (e - i) + dma * drains
+            bus_busy += bus_write * (e - i) + hold * drains
             transactions += e - i + drains
             busy = complete
             if drains:
-                dones.extend(range(first_done, head_done, service))
-                free = head_done - service
+                served = backlog(first_done, drains, _NEVER)
+                dones.extend(served)
+                free = served[-1]
                 head += drains
                 occ -= drains
                 room -= drains
@@ -563,72 +559,43 @@ def _write_run_bus_logged(
                     write = None
                     ppn = run_ppn
                 if ppn not in verified:
-                    slot = slots.get(ppn & index_mask)
-                    log_index = -1
-                    if slot is not None and slot.tag == ppn >> index_bits:
-                        log_index = slot.log_index
-                    if log_index != tgt_log:
+                    routed = logger._target(ppn)
+                    if routed is None or target is None or routed[0] != target[0]:
                         if dones:
-                            _emit_records(logger, tgt_log, entry, frame_data, sink,
-                                          queue[head - len(dones) : head], dones,
-                                          it_paddr, it_value, it_size)
+                            _write_records(logger, target,
+                                           queue[head - len(dones) : head], dones,
+                                           it_paddr, it_value, it_size)
                             dones = []
-                        tgt_log = log_index
+                        target = routed
+                        room = 0 if routed is None else routed[3]
                         verified.clear()
-                        room = 0
-                        entry = lt_entries.get(log_index)
-                        if (
-                            entry is not None
-                            and entry.valid
-                            and log_index not in absorbing
-                            and modes.get(log_index, normal) is normal
-                        ):
-                            dest = entry.log_address
-                            frame = frames.get(dest >> _PAGE_SHIFT)
-                            if frame is not None and not dest % record_size:
-                                frame_data = frame.data
-                                room = (PAGE_SIZE - (dest & _PAGE_MASK)) // record_size
-                                getlog = getattr(handler, "log_segment_for", None)
-                                sink = getlog(log_index) if getlog is not None else None
                     verified.add(ppn)
                 if room:
-                    # Inline service of k records: a backlogged logger
-                    # completes one per service time, and each record's
-                    # DMA follows the bus's earlier work.
+                    # The logger serves the k records at the head that
+                    # fit its log page (they were queued back to back),
+                    # and their DMAs take the bus.
                     if write is None:
                         k = occ if occ < room else room
                     else:
                         k = pre_run_end[item] - item
                         if k > room:
                             k = room
-                    if service and (limit - head_done) // service < k:
-                        k = (limit - head_done) // service + 1
-                    last_done = head_done + (k - 1) * service
-                    dones.extend(
-                        range(head_done, last_done + 1, service)
-                        if service
-                        else repeat(head_done, k)
-                    )
-                    dma_end = head_done + k * dma
-                    if service > dma:
-                        dma_end += (k - 1) * (service - dma)
-                    busy += k * dma
-                    if dma_end > busy:
-                        busy = dma_end
-                    bus_busy += k * dma
-                    transactions += k
-                    free = last_done
+                    served = backlog(head_done, k, limit)
+                    k = len(served)
+                    dones.extend(served)
+                    bus._busy_until = busy
+                    busy = dma(served, bus)[0]
+                    free = served[-1]
                     head += k
                     occ -= k
                     room -= k
                 else:
                     # PMT miss, log-page boundary, absorbing log, or
-                    # special mode: the generic path, with the shared
-                    # state synchronised.
+                    # special mode: the generic path.
                     if dones:
-                        _emit_records(logger, tgt_log, entry, frame_data, sink,
-                                      queue[head - len(dones) : head], dones,
-                                      it_paddr, it_value, it_size)
+                        _write_records(logger, target,
+                                       queue[head - len(dones) : head], dones,
+                                       it_paddr, it_value, it_size)
                         dones = []
                     if write is None:
                         j = item - npre
@@ -637,12 +604,8 @@ def _write_run_bus_logged(
                         )
                     head += 1
                     occ -= 1
-                    logger._service_free = head_done
-                    bus._busy_until = busy
-                    logger._process(write, head_done)
-                    free = logger._service_free
-                    busy = bus._busy_until
-                    tgt_log = -1
+                    free, busy = logger._fallback(write, head_done, busy)
+                    target = None
                     verified.clear()
                     room = 0
                 # Every queued item was pushed before the service of the
@@ -664,19 +627,18 @@ def _write_run_bus_logged(
                 high_water = occ
             if occ <= threshold:
                 break
-            # Overload interrupt: Logger._handle_overload, with the flush
-            # done by the loop above.
-            logger_stats.overload_events += 1
+            # Overload interrupt: the logger raises it, and the loop
+            # above is its FIFO flush.
+            logger._overload_raised(complete)
             overloaded = True
             limit = _NEVER
         if overloaded:
-            # ... then the kernel's suspension via the generic handler.
+            # ... then the rest of the logger's overload handling.
             if dones:
-                _emit_records(logger, tgt_log, entry, frame_data, sink,
-                              queue[head - len(dones) : head], dones,
-                              it_paddr, it_value, it_size)
+                _write_records(logger, target,
+                               queue[head - len(dones) : head], dones,
+                               it_paddr, it_value, it_size)
                 dones = []
-            drain_complete = free
             fifo.high_water_mark = high_water
             logger._service_free = free
             bus._busy_until = busy
@@ -686,16 +648,12 @@ def _write_run_bus_logged(
             transactions = 0
             cpu._now = now
             clock.advance_to(complete)
-            if handler is not None:
-                handler.overload(
-                    drain_complete if drain_complete > complete else complete
-                )
-            clock.advance_to(drain_complete)
+            logger._overload_served(complete)
             free = logger._service_free
             busy = bus._busy_until
             resume_at = cpu._resume_at
             high_water = fifo.high_water_mark
-            tgt_log = -1
+            target = None
             verified.clear()
             room = 0
         # --- CPU.write_through back half
@@ -706,9 +664,8 @@ def _write_run_bus_logged(
         i = e + 1
 
     if dones:
-        _emit_records(logger, tgt_log, entry, frame_data, sink,
-                      queue[head - len(dones) : head], dones,
-                      it_paddr, it_value, it_size)
+        _write_records(logger, target, queue[head - len(dones) : head], dones,
+                       it_paddr, it_value, it_size)
     cpu._now = now
     bus._busy_until = busy
     logger._service_free = free
@@ -753,37 +710,15 @@ def _write_run_bus_logged(
     return True
 
 
-def _emit_records(
-    logger, log_index, entry, frame_data, sink, items, dones, it_paddr, it_value, it_size
-):
-    """Write inline-serviced records into their log page in one slice.
+def _write_records(logger, target, items, dones, it_paddr, it_value, it_size):
+    """Have the logger write inline-serviced records to ``target``.
 
     ``items`` are the FIFO items serviced, in order, at the cycles
-    ``dones``; they all fit in the log-table entry's current page.
-    Advances the entry and accounts the appends exactly as the
-    per-record path does.
+    ``dones``; they all fit in the target's current log page.  Each
+    record's PMT lookup is counted here, where it is settled.
     """
     count = len(dones)
     idx = np.array(items) if items[-1] - items[0] != count - 1 else slice(items[0], items[0] + count)
-    # Storing into the 32-bit fields truncates, as the hardware does.
-    records = np.zeros(count, _RECORD_DTYPE)
-    records["addr"] = it_paddr[idx]
-    records["value"] = it_value[idx]
-    records["size"] = it_size[idx]
-    records["ts"] = np.array(dones, np.int64) // logger.clock._timestamp_divider
-    dest = entry.log_address
-    offset = dest & _PAGE_MASK
-    nbytes = count * LOG_RECORD_SIZE
-    frame_data[offset : offset + nbytes] = records.tobytes()
-    advanced = dest + nbytes
-    entry.log_address = advanced
-    if not advanced & _PAGE_MASK:
-        entry.valid = False
-    logger.stats.records_logged += count
+    log_index, entry, sink, _room = target
+    logger._write(log_index, entry, sink, it_paddr[idx], it_value[idx], it_size[idx], dones)
     logger.pmt.lookup_count += count
-    if sink is not None:
-        sink.append_offset += nbytes
-        sink.records_appended += count
-    elif logger._fault_handler is not None:
-        for paddr in range(dest, advanced, LOG_RECORD_SIZE):
-            logger._fault_handler.record_written(log_index, paddr, LOG_RECORD_SIZE)

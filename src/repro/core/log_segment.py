@@ -134,24 +134,20 @@ class LogSegment(Segment):
         if self.attached_kernel is not None:
             self.attached_kernel.log_rewound(self)
 
-    def record_pages(
+    def page_views(
         self, start: int | None = None
-    ) -> Iterator[tuple[int, Iterator[tuple[int, ...]]]]:
-        """The log decoder: retained records, one log page at a time.
+    ) -> Iterator[tuple[int, memoryview]]:
+        """The retained records' bytes, one log page at a time.
 
-        Yields ``(first_offset, fields)`` per log page holding retained
+        Yields ``(first_offset, view)`` per log page holding retained
         records from ``start`` (clamped to the truncation point) to the
-        append point.  ``fields`` unpacks that page's records in write
-        order as plain tuples ``(addr, value, size, flags, timestamp)``,
-        plus ``(old_value, pc)`` in the 24-byte extended format; record
-        ``i`` of the page sits at ``first_offset + i * record_size``.
-        Each page's bytes are read once, through a view of its frame,
-        and never copied; a never-materialised page reads as zeros.
-        Records never straddle pages: 24-byte records leave the last
-        16 bytes of each page as padding.
+        append point: a view of that page's frame over its whole records
+        (record ``i`` of the page at ``first_offset + i * record_size``),
+        never a copy; a never-materialised page reads as zeros.  Records
+        never straddle pages: 24-byte records leave the last 16 bytes of
+        each page as padding.  The log decoders read through it.
         """
         stride = self.record_size
-        layout = EXTENDED_RECORD_STRUCT if self.extended_records else RECORD_STRUCT
         end = self.append_offset
         offset = self.start_offset if start is None else max(start, self.start_offset)
         pages = self._pages
@@ -162,9 +158,22 @@ class LogSegment(Segment):
             if count:
                 page = pages.get(index)
                 data = _ZERO_PAGE if page is None else page.frame.data
-                view = memoryview(data)[in_page : in_page + count * stride]
-                yield offset, layout.iter_unpack(view)
+                yield offset, memoryview(data)[in_page : in_page + count * stride]
             offset = page_base + PAGE_SIZE
+
+    def record_pages(
+        self, start: int | None = None
+    ) -> Iterator[tuple[int, Iterator[tuple[int, ...]]]]:
+        """The log decoder: retained records, one log page at a time.
+
+        Yields ``(first_offset, fields)`` per page of :meth:`page_views`.
+        ``fields`` unpacks that page's records in write order as plain
+        tuples ``(addr, value, size, flags, timestamp)``, plus
+        ``(old_value, pc)`` in the 24-byte extended format.
+        """
+        layout = EXTENDED_RECORD_STRUCT if self.extended_records else RECORD_STRUCT
+        for offset, view in self.page_views(start):
+            yield offset, layout.iter_unpack(view)
 
     def records(self) -> Iterator[LogRecord]:
         """Iterate retained records in write order."""

@@ -29,6 +29,8 @@ from __future__ import annotations
 import enum
 from typing import Protocol
 
+import numpy as np
+
 from repro import probe
 from repro.hw.bus import BusWrite, SystemBus
 from repro.hw.clock import Clock
@@ -37,9 +39,10 @@ from repro.hw.log_table import LogTable
 from repro.hw.memory import PhysicalMemory
 from repro.hw.page_mapping_table import PageMappingTable
 from repro.hw.params import LOG_RECORD_SIZE, PAGE_SIZE, MachineConfig
-from repro.hw.records import RECORD_STRUCT, encode_record
+from repro.hw.records import RECORD_DTYPE, RECORD_STRUCT, encode_record
 
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
+_PAGE_MASK = PAGE_SIZE - 1
 _UNSET = object()
 
 
@@ -58,6 +61,10 @@ class LogMode(enum.Enum):
 
 #: Size of one indexed-mode log entry (a bare data value).
 INDEXED_ENTRY_SIZE = 4
+
+#: The mode of a log with none declared (read per stretch, and an enum
+#: member's class-attribute read is slow).
+_NORMAL = LogMode.NORMAL
 
 
 class LoggingFaultHandler(Protocol):
@@ -127,8 +134,27 @@ class LoggerStats:
         return dict(self.__dict__)
 
 
+#: A stretch of this many records or more is packed by one numpy pass; a
+#: shorter one record by record (numpy's fixed cost per pass is about
+#: what packing this many records one by one costs).
+_NUMPY_RECORDS = 16
+
+
 class Logger:
-    """Bus-snooping hardware logger."""
+    """Bus-snooping hardware logger.
+
+    Its timing model is written once, here, and the word path
+    (:meth:`_drain_fast`), the generic per-record path (:meth:`_process`)
+    and the bulk engine (``repro.core.bulk``) all call it:
+
+    * service — :meth:`_drain_fast`'s recurrence, and :meth:`_backlog`
+      for writes queued back to back;
+    * routing — :meth:`_target`: which records may skip :meth:`_process`
+      (:meth:`_fallback` takes the others there);
+    * DMA — :meth:`_dma`: when each record's DMA holds the bus;
+    * writing — :meth:`_write`, timestamped by :meth:`_stamped_at`;
+    * overload — :meth:`_overload_raised` and :meth:`_overload_served`.
+    """
 
     def __init__(
         self,
@@ -166,34 +192,6 @@ class Logger:
         #: LogSegment the drain may account inline, or None); dropped
         #: when the handler, or that log's mode or loading, changes
         self._sinks: dict[int, object] = {}
-        self._bind_drain()
-
-    def _bind_drain(self) -> None:
-        """(Re)build the bindings :meth:`_drain_fast` unpacks per call.
-
-        Every container here is created in ``__init__`` and only ever
-        mutated in place (PMT slots, log-table entries, modes, the
-        absorbing set, frames, sinks), so one tuple stays valid for the
-        logger's life; the fault handler is the one binding that is
-        replaced, and :meth:`attach_fault_handler` rebuilds the tuple.
-        """
-        pmt = self.pmt
-        config = self.config
-        self._drain_env = (
-            config.logger_service_cycles,
-            pmt._slots,
-            pmt._index_mask,
-            pmt.index_bits,
-            self.log_table._entries,
-            self._modes,
-            self._absorbing,
-            self._fault_handler,
-            self._sinks,
-            self.bus,
-            self.memory._frames,
-            self.clock._timestamp_divider,
-            config.log_dma_bus_cycles,
-        )
 
     # ------------------------------------------------------------------
     # Kernel-facing configuration
@@ -202,7 +200,6 @@ class Logger:
         """Register the kernel's logging-fault / overload handler."""
         self._fault_handler = handler
         self._sinks.clear()
-        self._bind_drain()
 
     def set_default_page(self, paddr: int) -> None:
         """Set the kernel's default absorption page (section 3.2)."""
@@ -310,156 +307,264 @@ class Logger:
                 p["logger.drain"](self._service_free)
         return self._service_free
 
+    # ------------------------------------------------------------------
+    # The timing model
+    # ------------------------------------------------------------------
     def _drain_fast(self, limit: int | None) -> None:
         """Service queued writes up to ``limit`` (None = all of them).
 
-        This is the pipeline's hot loop: the NORMAL-mode, PMT-hit,
-        valid-log-table-entry case is fully inlined (one dict probe for
-        the PMT slot, the log-table bump, the struct pack into the
-        frame, and the DMA bus accounting), with counter updates batched
-        and written back once.  Any deviation — PMT miss, boundary
-        fault, absorbing log, non-NORMAL mode — falls back to the
-        generic :meth:`_process`, which produces bit-identical state to
-        the old record-at-a-time loop.  The structures it reads come
-        from one tuple built by :meth:`_bind_drain`.
+        The pipeline's service recurrence: the head write's service
+        completes ``logger_service_cycles`` after the later of its
+        arrival and the previous completion.  A serviced write that
+        :meth:`_target` lets skip the generic path opens a stretch,
+        which the writes behind it to the same page join while they fit
+        its log page; the stretch then takes the bus (:meth:`_dma`) and
+        is written (:meth:`_write`) at once.  Any other write, and every
+        write while an attached probe needs per-record events
+        (``probe.per_record``: injection sites and trace spans live on
+        the generic path), goes through :meth:`_process`.
         """
         entries = self.write_fifo._entries
-        (
-            service,
-            slots,
-            index_mask,
-            index_bits,
-            lt_entries,
-            modes,
-            absorbing,
-            handler,
-            sinks,
-            bus,
-            frames,
-            divider,
-            dma_cycles,
-        ) = self._drain_env
+        service = self.config.logger_service_cycles
         p = probe._ACTIVE
-        if p is not None and p.per_record:
-            # Injection sites and trace spans live on the generic path;
-            # route every record through _process so "logger.dma" fires
-            # per record (cycle charges are identical either way).
-            while entries:
-                ready, write = entries[0]
-                start = ready if ready > self._service_free else self._service_free
-                complete = start + service
-                if limit is not None and complete > limit:
-                    return
-                entries.popleft()
-                self._service_free = complete
-                self._process(write, complete)
-            return
+        generic = p is not None and p.per_record
         free = self._service_free
-        pack_into = RECORD_STRUCT.pack_into
-        normal = LogMode.NORMAL
-        record_size = LOG_RECORD_SIZE
-        busy = bus._busy_until
-        bus_busy = 0
-        transactions = 0
-        logged = 0
-        lookups = 0
-        while entries:
-            ready, write = entries[0]
-            start = ready if ready > free else free
-            complete = start + service
-            if limit is not None and complete > limit:
+        writes: list[BusWrite] = []
+        dones: list[int] = []
+        page = room = 0
+        while True:
+            due = False
+            if entries:
+                ready, write = entries[0]
+                done = (ready if ready > free else free) + service
+                due = limit is None or done <= limit
+            if room > 0 and due and write.paddr >> _PAGE_SHIFT == page:
+                # It joins the open stretch.
+                entries.popleft()
+                free = done
+                writes.append(write)
+                dones.append(done)
+                room -= 1
+                continue
+            if dones:
+                # Close the stretch: its DMAs, then its records (their
+                # PMT lookups are counted here).
+                self._dma(dones, self.bus)
+                paddrs, values, sizes, _, _ = zip(*writes)
+                self._write(log_index, entry, sink, paddrs, values, sizes, dones)
+                self.pmt.lookup_count += len(dones)
+                writes = []
+                dones = []
+                room = 0
+            if not due:
                 break
             entries.popleft()
-            free = complete
-            paddr = write.paddr
-            ppn = paddr >> _PAGE_SHIFT
-            slot = slots.get(ppn & index_mask)
-            if slot is None or slot.tag != ppn >> index_bits:
-                # PMT miss: generic path (it performs and counts its own
-                # PMT lookup, so none is counted here).
-                self._service_free = free
-                bus._busy_until = busy
-                self._process(write, complete)
-                free = self._service_free
-                busy = bus._busy_until
+            free = done
+            page = write.paddr >> _PAGE_SHIFT
+            target = None if generic else self._target(page)
+            if target is None:
+                free = self._fallback(write, done, self.bus._busy_until)[0]
                 continue
-            log_index = slot.log_index
-            entry = lt_entries.get(log_index)
-            if (
-                entry is None
-                or not entry.valid
-                or log_index in absorbing
-                or modes.get(log_index, normal) is not normal
-            ):
-                # Boundary fault, absorbing log, or special mode.
-                self._service_free = free
-                bus._busy_until = busy
-                self._process(write, complete)
-                free = self._service_free
-                busy = bus._busy_until
-                continue
-            lookups += 1
-            dest = entry.log_address
-            advanced = dest + record_size
-            entry.log_address = advanced
-            if not advanced % PAGE_SIZE:
-                entry.valid = False
-            dma_start = complete if complete > busy else busy
-            busy = dma_start + dma_cycles
-            bus_busy += dma_cycles
-            transactions += 1
-            # (an unbacked log page raises AddressError, as a DMA would)
-            frame = frames.get(dest >> _PAGE_SHIFT) or self.memory.frame_of(dest)
-            pack_into(
-                frame.data,
-                dest % PAGE_SIZE,
-                paddr & 0xFFFFFFFF,
-                write.value & 0xFFFFFFFF,
-                write.size,
-                0,
-                (complete // divider) & 0xFFFFFFFF,
-            )
-            logged += 1
-            if handler is not None:
-                sink = sinks.get(log_index, _UNSET)
-                if sink is _UNSET:
-                    getlog = getattr(handler, "log_segment_for", None)
-                    sink = getlog(log_index) if getlog is not None else None
-                    sinks[log_index] = sink
-                if sink is None:
-                    handler.record_written(log_index, dest, record_size)
-                else:
-                    sink.append_offset += record_size
-                    sink.records_appended += 1
+            log_index, entry, sink, room = target
+            writes.append(write)
+            dones.append(done)
+            room -= 1
         self._service_free = free
-        bus._busy_until = busy
-        bus.total_busy_cycles += bus_busy
-        bus.transaction_count += transactions
-        self.stats.records_logged += logged
-        self.pmt.lookup_count += lookups
 
-    @property
-    def idle_at(self) -> int:
-        """Cycle at which the pipeline is next idle given queued work."""
-        free = self._service_free
-        for ready, _ in self.write_fifo:
-            free = max(free, ready) + self.config.logger_service_cycles
-        return free
+    def _backlog(self, first: int, count: int, limit: int):
+        """Service completions of the next ``count`` queued writes when
+        each was queued before the one ahead of it completed, the first
+        completing at ``first``: one per service time.  Only those
+        completing by ``limit`` are served."""
+        service = self.config.logger_service_cycles
+        if not service:
+            return [first] * count
+        if first + (count - 1) * service > limit:
+            count = (limit - first) // service + 1
+        return range(first, first + count * service, service)
+
+    def _target(self, ppn: int):
+        """Where records for physical page ``ppn`` go when they skip
+        :meth:`_process`, or None when they may not.
+
+        They may when the PMT maps the page to a log, the log is NORMAL
+        and not absorbing into the default page, and its log-table entry
+        is valid.  Returns ``(log_index, entry, sink, room)``: the log,
+        its log-table entry, its sink (:meth:`_sink`), and how many
+        records fit in the entry's current log page.  The PMT lookup is
+        not counted here: the fast paths count one per record written.
+        """
+        pmt = self.pmt
+        slot = pmt._slots.get(ppn & pmt._index_mask)
+        if slot is None or slot.tag != ppn >> pmt.index_bits:
+            return None
+        log_index = slot.log_index
+        entry = self.log_table._entries.get(log_index)
+        if (
+            entry is None
+            or not entry.valid
+            or log_index in self._absorbing
+            or self._modes.get(log_index, _NORMAL) is not _NORMAL
+        ):
+            return None
+        sink = self._sinks.get(log_index, _UNSET)
+        if sink is _UNSET:
+            sink = self._sink(log_index)
+        room = (PAGE_SIZE - (entry.log_address & _PAGE_MASK)) // LOG_RECORD_SIZE
+        return log_index, entry, sink, room
+
+    def _sink(self, log_index: int):
+        """The handler's ``log_segment_for`` answer for ``log_index``
+        (None without the hook), kept in ``_sinks``."""
+        sinks = self._sinks
+        sink = sinks.get(log_index, _UNSET)
+        if sink is _UNSET:
+            getlog = getattr(self._fault_handler, "log_segment_for", None)
+            sink = sinks[log_index] = getlog(log_index) if getlog is not None else None
+        return sink
+
+    def _dma(self, dones, bus: SystemBus) -> tuple[int, int]:
+        """The DMAs of records serviced at ``dones`` take ``bus``.
+
+        Each record's DMA takes the bus at the later of its service
+        completion and the end of the bus's earlier work — its cursor,
+        then the DMA before it — and holds it ``log_dma_bus_cycles``;
+        each counts as one transaction and its busy cycles.  Returns
+        ``(end, held)``: the bus cursor after the last DMA and the
+        cycles they held.  The bulk engine asks it what one record's DMA
+        holds by applying it to an idle scratch bus.
+        """
+        hold = self.config.log_dma_bus_cycles
+        busy = bus._busy_until
+        if type(dones) is range:
+            # Evenly spaced completions: the recurrence below, whose
+            # latest idle start is the first record's or the last's.
+            count = len(dones)
+            busy = max(busy + count * hold, dones[0] + count * hold, dones[-1] + hold)
+        else:
+            for done in dones:
+                busy = (done if done > busy else busy) + hold
+        held = hold * len(dones)
+        bus._busy_until = busy
+        bus.total_busy_cycles += held
+        bus.transaction_count += len(dones)
+        return busy, held
+
+    def _stamped_at(self, dones):
+        """The cycles whose timestamps the records serviced at ``dones``
+        carry: their service completions (for a faulted record, the
+        fault handler's return, see :meth:`_process`)."""
+        return dones
+
+    def _write(self, log_index, entry, sink, paddrs, values, sizes, dones) -> None:
+        """Write the records serviced at ``dones`` at ``entry``'s append point.
+
+        ``paddrs``, ``values`` and ``sizes`` are the records' fields in
+        service order, and the records all fit in the entry's current
+        log page.  Each is :data:`RECORD_STRUCT`, 32-bit fields
+        truncated, timestamped at the cycle :meth:`_stamped_at` names
+        (``Clock.timestamp``'s floor).  The entry advances past them and
+        turns invalid at the page end; the appends are accounted to
+        ``sink`` or, record by record, to the handler's
+        ``record_written``.  A stretch of ``_NUMPY_RECORDS`` or more is
+        packed by one numpy pass, a shorter one record by record.
+        """
+        count = len(dones)
+        dest = entry.log_address
+        memory = self.memory
+        data = (memory._frames.get(dest >> _PAGE_SHIFT) or memory.frame_of(dest)).data
+        offset = dest & _PAGE_MASK
+        divider = self.clock._timestamp_divider
+        stamps = self._stamped_at(dones)
+        if count < _NUMPY_RECORDS:
+            pack_into = RECORD_STRUCT.pack_into
+            for i in range(count):
+                pack_into(
+                    data,
+                    offset,
+                    paddrs[i] & 0xFFFFFFFF,
+                    values[i] & 0xFFFFFFFF,
+                    sizes[i],
+                    0,
+                    stamps[i] // divider & 0xFFFFFFFF,
+                )
+                offset += LOG_RECORD_SIZE
+        else:
+            # Storing 64-bit columns into the 32-bit fields truncates,
+            # as the hardware does.
+            records = np.zeros(count, RECORD_DTYPE)
+            records["addr"] = np.asarray(paddrs, np.int64)
+            records["value"] = np.asarray(values, np.int64)
+            records["size"] = sizes
+            records["ts"] = np.asarray(stamps, np.int64) // divider
+            data[offset : offset + count * LOG_RECORD_SIZE] = records.tobytes()
+        advanced = dest + count * LOG_RECORD_SIZE
+        entry.log_address = advanced
+        if not advanced & _PAGE_MASK:
+            entry.valid = False
+        self.stats.records_logged += count
+        if sink is not None:
+            sink.append_offset += advanced - dest
+            sink.records_appended += count
+        elif self._fault_handler is not None:
+            written = self._fault_handler.record_written
+            for paddr in range(dest, advanced, LOG_RECORD_SIZE):
+                written(log_index, paddr, LOG_RECORD_SIZE)
+
+    def _fallback(self, write: BusWrite, done: int, busy: int) -> tuple[int, int]:
+        """Service ``write`` through :meth:`_process`, its service having
+        completed at ``done`` with the bus busy until ``busy``; returns
+        the pipeline's and the bus's cursors after it."""
+        self._service_free = done
+        bus = self.bus
+        bus._busy_until = busy
+        self._process(write, done)
+        return self._service_free, bus._busy_until
 
     def _handle_overload(self, now: int) -> None:
         """FIFO crossed the threshold: interrupt and drain (section 3.1.3)."""
+        self._overload_raised(now)
+        self._drain_fast(None)
+        self._overload_served(now)
+
+    def _overload_raised(self, now: int) -> None:
+        """The overload interrupt is raised at ``now``; the FIFO is
+        flushed next."""
         probe.hit("logger.overload", cycle=now)
         self.stats.overload_events += 1
-        drain_complete = self.flush()
+
+    def _overload_served(self, now: int) -> None:
+        """The overload flush is done: report it, have the kernel
+        suspend the processes that may log until it completed, and move
+        the clock there."""
+        drain_complete = self._service_free
         p = probe._ACTIVE
+        if p is not None and "logger.drain" in p:
+            p["logger.drain"](drain_complete)
         if p is not None and "logger.overload" in p:
             p["logger.overload"](now, drain_complete, 0)
         if self._fault_handler is not None:
             self._fault_handler.overload(max(now, drain_complete))
         self.clock.advance_to(drain_complete)
 
+    def _dma_txn(self, cycle: int) -> int:
+        """The generic paths' DMA of one record serviced at ``cycle``
+        (:meth:`_dma`), reported as a ``bus.txn`` the way
+        :meth:`SystemBus.acquire` reports one; returns its end."""
+        end, held = self._dma((cycle,), self.bus)
+        p = probe._ACTIVE
+        if p is not None and "bus.txn" in p:
+            p["bus.txn"](cycle, end - held, held)
+        return end
+
     def _process(self, write: BusWrite, complete_cycle: int) -> None:
-        """Run one write through PMT → log table → record FIFO → DMA."""
+        """Run one write through PMT → log table → record FIFO → DMA.
+
+        The generic path: it takes the logging faults, the default-page
+        absorption and the special modes, and reports per-record
+        events.  The DMA (:meth:`_dma_txn`) and the writing of a NORMAL
+        record (:meth:`_write`) are the fast paths'.
+        """
         handler = self._fault_handler
         p = probe._ACTIVE
         log_index = self.pmt.lookup(write.paddr)
@@ -488,7 +593,6 @@ class Logger:
             self._process_direct(write, log_index, complete_cycle)
             return
 
-        nbytes = LOG_RECORD_SIZE if mode is LogMode.NORMAL else INDEXED_ENTRY_SIZE
         if not self.log_table.is_ready(log_index):
             # Logging fault: log address crossed a page boundary.
             self.stats.logging_faults += 1
@@ -515,43 +619,43 @@ class Logger:
                 self._absorbing.discard(log_index)
                 self.log_table.load(log_index, new_addr)
 
+        entry = self.log_table.get(log_index)
+        dest = entry.log_address
         lost = log_index in self._absorbing
-        dest = self.log_table.advance(log_index, nbytes)
+        stamp = self.clock.timestamp(self._stamped_at((complete_cycle,))[0])
+        # A crash here loses a record that was latched but not yet DMA'd.
+        probe.hit("logger.dma", cycle=complete_cycle)
+        dma_done = self._dma_txn(complete_cycle)
+        if p is not None and "logger.dma" in p:
+            # The record's own timestamp field.
+            p["logger.dma"](complete_cycle, dma_done, dest, stamp)
+        if mode is LogMode.NORMAL and not lost:
+            self._write(
+                log_index,
+                entry,
+                self._sink(log_index),
+                (write.paddr,),
+                (write.value,),
+                (write.size,),
+                (complete_cycle,),
+            )
+            return
+        if mode is LogMode.NORMAL:
+            payload = encode_record(write.paddr, write.value, write.size, stamp)
+        else:  # INDEXED: a bare 4-byte value, no address or timestamp.
+            payload = (write.value & 0xFFFFFFFF).to_bytes(INDEXED_ENTRY_SIZE, "little")
+        self.memory.write_bytes(dest, payload)
         if lost:
             # Keep the default page reusable forever.
             self.log_table.load(log_index, self._default_page_paddr)
-
-        if mode is LogMode.NORMAL:
-            payload = encode_record(
-                write.paddr,
-                write.value,
-                write.size,
-                self.clock.timestamp(complete_cycle),
-            )
-        else:  # INDEXED: bare 4-byte value, no address or timestamp.
-            payload = (write.value & 0xFFFFFFFF).to_bytes(4, "little")
-
-        # A crash here loses a record that was latched but not yet DMA'd.
-        probe.hit("logger.dma", cycle=complete_cycle)
-        dma_done = self.bus.acquire(complete_cycle, self.config.log_dma_bus_cycles)
-        if p is not None and "logger.dma" in p:
-            # The record's own timestamp field, via the one
-            # Clock.timestamp definition.
-            p["logger.dma"](
-                complete_cycle,
-                dma_done,
-                dest,
-                self.clock.timestamp(complete_cycle),
-            )
-        self.memory.write_bytes(dest, payload)
-        if lost:
             self.stats.records_dropped += 1
             if handler is not None:
                 handler.record_lost(log_index)
         else:
+            self.log_table.advance(log_index, INDEXED_ENTRY_SIZE)
             self.stats.records_logged += 1
             if handler is not None:
-                handler.record_written(log_index, dest, nbytes)
+                handler.record_written(log_index, dest, INDEXED_ENTRY_SIZE)
 
     def _process_direct(
         self, write: BusWrite, log_index: int, complete_cycle: int
@@ -563,7 +667,7 @@ class Logger:
             self.stats.records_dropped += 1
             return
         dest = dest_base + write.paddr % PAGE_SIZE
-        self.bus.acquire(complete_cycle, self.config.log_dma_bus_cycles)
+        self._dma_txn(complete_cycle)
         self.memory.write(dest, write.value, write.size)
         self.stats.records_logged += 1
         if handler is not None:

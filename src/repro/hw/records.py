@@ -23,6 +23,8 @@ import struct
 from dataclasses import dataclass
 from typing import Iterator
 
+import numpy as np
+
 from repro.errors import LoggingError
 from repro.hw.params import LOG_RECORD_SIZE
 
@@ -32,6 +34,15 @@ _EXT_STRUCT = struct.Struct("<IIHHIII")
 #: The 16-byte record layout, exposed for hot paths that pack records
 #: inline (field order: addr, value, size, flags, timestamp).
 RECORD_STRUCT = _STRUCT
+
+#: :data:`RECORD_STRUCT` as a numpy record type, for whole-page packing
+#: and column decoding (numpy reads the struct's type codes alike).
+RECORD_DTYPE = np.dtype(
+    [
+        (name, "<" + code)
+        for name, code in zip(("addr", "value", "size", "flags", "ts"), _STRUCT.format[1:])
+    ]
+)
 
 #: The 24-byte extended layout (the 16-byte fields, then old_value, pc).
 EXTENDED_RECORD_STRUCT = _EXT_STRUCT

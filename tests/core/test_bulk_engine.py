@@ -16,7 +16,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import probe
 from repro.baselines.bcopy import vm_copy
 from repro.core import bulk
 from repro.core.context import boot, set_current_machine
@@ -24,8 +27,10 @@ from repro.core.log_segment import LogSegment
 from repro.core.region import StdRegion
 from repro.core.segment import StdSegment
 from repro.errors import ProtectionError, UnmappedAddressError
-from repro.hw.logger import LogMode
+from repro.hw.logger import LogMode, Logger
 from repro.hw.params import NEXT_GENERATION, PAGE_SIZE, MachineConfig
+from repro.obs.core import Observability
+from repro.obs.flight import FlightRecorder
 
 BASE = MachineConfig(memory_bytes=32 * 1024 * 1024)
 ONCHIP = NEXT_GENERATION.with_changes(memory_bytes=32 * 1024 * 1024)
@@ -446,6 +451,157 @@ class TestEventChargingExactness:
         state = run_pair(build, drive)
         assert state["logger_stats"]["records_logged"] > 0
         assert state["logger_stats"]["overload_events"] > 0
+
+
+@pytest.mark.parametrize("block_path", [False, True], ids=["word", "bulk"])
+def test_overloads_reach_subscribers_on_both_paths(block_path):
+    """Every overload interrupt reaches the probe stream, whichever path
+    the stores took: the flight recorder's ``logger.overload`` entries,
+    the ``hw.logger.overload_drains`` metric and the logger's own count
+    agree."""
+    config = BASE.with_changes(logger_fifo_capacity=64, logger_overload_threshold=40)
+    payload = random.Random(26).randbytes(4 * 2000)
+    obs, flight = Observability(), FlightRecorder()
+    m = boot(config)
+    try:
+        ctx = build_region(size=8 * PAGE_SIZE)(m)
+        with probe.attached(obs), probe.attached(flight):
+            store(m, ctx["va"], payload, block_path)
+    finally:
+        set_current_machine(None)
+    overloads = m.logger.stats.overload_events
+    assert overloads > 0
+    assert sum(1 for event in flight.tail() if event[1] == "logger.overload") == overloads
+    assert obs.metrics.value("hw.logger.overload_drains") == overloads
+
+
+# ----------------------------------------------------------------------
+# One timing model: a change to the logger's shared step reaches the
+# word path, the generic per-record path and the bulk engine alike
+# ----------------------------------------------------------------------
+def _stamped_at_service_start(self, dones):
+    """A record timestamped when its service starts, not when it ends."""
+    service = self.config.logger_service_cycles
+    return [done - service for done in dones]
+
+
+def _dma_one_cycle_longer(self, dones, bus):
+    """Every record DMA holds the bus one cycle longer."""
+    hold = self.config.log_dma_bus_cycles + 1
+    busy = bus._busy_until
+    for done in dones:
+        busy = (done if done > busy else busy) + hold
+    bus._busy_until = busy
+    bus.total_busy_cycles += hold * len(dones)
+    bus.transaction_count += len(dones)
+    return busy, hold * len(dones)
+
+
+def _sequential_logged():
+    payload = random.Random(1).randbytes(2 * PAGE_SIZE + 123)
+    return BASE, build_region(), lambda m, ctx, bp: store(m, ctx["va"], payload, bp)
+
+
+def _overload():
+    config = BASE.with_changes(logger_fifo_capacity=32, logger_overload_threshold=4)
+    payload = random.Random(10).randbytes(2048)
+    return config, build_region(), lambda m, ctx, bp: store(m, ctx["va"], payload, bp)
+
+
+def _log_page_boundary():
+    config = BASE.with_changes(logger_fifo_capacity=1024, logger_overload_threshold=1024)
+    payload = random.Random(25).randbytes(4 * words_until(config, log_page_full))
+    return (
+        config,
+        build_region(size=8 * PAGE_SIZE),
+        lambda m, ctx, bp: store(m, ctx["va"], payload, bp),
+    )
+
+
+def _pmt_conflict():
+    rng = random.Random(11)
+    bursts = [(page, rng.randbytes(64)) for page in (0, 1, 2, 0, 2, 0, 2, 0, 2)]
+
+    def drive(m, ctx, bp):
+        for page, data in bursts:
+            store(m, ctx["va"] + page * PAGE_SIZE, data, bp)
+        m.logger.flush()
+
+    return BASE.with_changes(pmt_index_bits=1), build_region(), drive
+
+
+def _vm_copy_64k():
+    nbytes = 64 * 1024
+    data = random.Random(31).randbytes(nbytes)
+
+    def build(m):
+        src = StdSegment(nbytes, machine=m)
+        src.write_bytes(0, data)
+        ctx = build_region(size=nbytes)(m)
+        ctx["src_va"] = StdRegion(src).bind(m.current_process.address_space())
+        ctx["segments"].append(src)
+        return ctx
+
+    def drive(m, ctx, bp):
+        vm_copy(m.current_process, ctx["src_va"], ctx["va"], nbytes, use_blocks=bp)
+
+    return BASE, build, drive
+
+
+@pytest.mark.parametrize(
+    "workload",
+    [_sequential_logged, _overload, _log_page_boundary, _pmt_conflict, _vm_copy_64k],
+    ids=lambda workload: workload.__name__.lstrip("_"),
+)
+def test_a_model_change_is_one_edit(workload, monkeypatch):
+    """Change the timing model inside the logger's shared step only —
+    where a record's timestamp is taken, and how long its DMA holds
+    the bus — and the word path and the bulk engine still agree."""
+    config, build, drive = workload()
+    before = run_pair(build, drive, config)
+    monkeypatch.setattr(Logger, "_stamped_at", _stamped_at_service_start)
+    monkeypatch.setattr(Logger, "_dma", _dma_one_cycle_longer)
+    after = run_pair(build, drive, config)
+    # The change took: the bus is held longer and the records differ.
+    assert after["bus"][1] > before["bus"][1]
+    assert after["logs"] != before["logs"]
+
+
+@st.composite
+def _exactness_cases(draw):
+    capacity = draw(st.integers(2, 96))
+    config = BASE.with_changes(
+        logger_service_cycles=draw(st.integers(1, 60)),
+        logger_fifo_capacity=capacity,
+        logger_overload_threshold=draw(st.integers(1, capacity)),
+        write_buffer_depth=draw(st.sampled_from([1, 2])),
+        pmt_index_bits=draw(st.integers(1, 4)),
+    )
+    offset = draw(st.integers(0, 2 * PAGE_SIZE))
+    length = draw(st.integers(1, 2 * PAGE_SIZE + 64))
+    queued = draw(st.integers(0, 48))
+    return config, offset, length, queued, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_exactness_cases())
+def test_word_and_bulk_paths_agree_on_random_configs(case):
+    """Word path and bulk engine agree over random logger timings, FIFO
+    sizes, write-buffer depths, small PMTs, payload alignments and
+    lengths across pages, with word-path records already queued."""
+    config, offset, length, queued, seed = case
+    rng = random.Random(seed)
+    prefix = rng.randbytes(queued)
+    payload = rng.randbytes(length)
+
+    def drive(m, ctx, bp):
+        # Word-path stores to another page first leave records queued.
+        m.current_process.address_space().write_bytes(
+            m.cpu(0), ctx["va"] + 5 * PAGE_SIZE, prefix
+        )
+        store(m, ctx["va"] + offset, payload, bp)
+
+    run_pair(build_region(size=6 * PAGE_SIZE), drive, config=config)
 
 
 class TestReadExactness:

@@ -1,4 +1,4 @@
-"""Behavioural tests: logger drain timing, idle_at, bus interaction."""
+"""Behavioural tests: logger drain timing, bus interaction."""
 
 
 from repro.hw.bus import BusWrite, SystemBus
@@ -50,13 +50,6 @@ class TestDrainTiming:
         assert logger.stats.records_logged == 0
         logger.drain(1000 + config.logger_service_cycles)
         assert logger.stats.records_logged == 1
-
-    def test_idle_at_accounts_for_backlog(self):
-        logger, frame, *_, config = make()
-        assert logger.idle_at == 0
-        for i in range(4):
-            logger.snoop_write(0, wr(frame, i))
-        assert logger.idle_at == 4 * config.logger_service_cycles
 
     def test_flush_returns_completion_time(self):
         logger, frame, *_, config = make()
