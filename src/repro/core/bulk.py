@@ -36,16 +36,19 @@ bisection.  The events are
   (``Logger._fallback``);
 * the end of the run.
 
-When the logger is slower than any store (the prototype's 28-cycle
-service against a 6- to 13-cycle store), every drain takes exactly one
-record, whose DMA follows the draining store at once, so the drains are
-found one bisection each without leaving the prefix sum; the store after
-a drain waits for that DMA as long as ``Logger._dma`` says one record's
-DMA holds the bus.  Otherwise (a faster logger, a FIFO that can overflow)
-each drain is a general event step.  With a deeper write buffer a store
-need not wait for the previous one, and every access is stepped on its
-own.  All of it is one function.  Serviced records are written one log
-page at a time (``Logger._write``).
+When the logger's schedule (``Logger._backlog``) spaces service
+completions wider than any two stores are apart (the prototype's
+28-cycle service against a 6- to 13-cycle store), every drain takes
+exactly one record, whose DMA follows the draining store at once, so the
+drains are found one bisection each without leaving the prefix sum; the
+store after a drain waits for that DMA as long as ``Logger._dma`` says
+one record's DMA, started as the bus comes free, holds the bus.  This is
+the one rule the engine keeps: a drained record's DMA starts when the
+bus write that drains it completes.  Otherwise (a faster logger, a FIFO
+that can overflow) each drain is a general event step.  With a deeper
+write buffer a store need not wait for the previous one, and every
+access is stepped on its own.  All of it is one function.  Serviced
+records are written one log page at a time (``Logger._write``).
 
 The word-at-a-time path is taken instead when an attached probe needs
 per-record events (``probe.per_record``), with a modeled L2, with extra
@@ -348,7 +351,6 @@ def _write_run_bus_logged(
     entries = fifo._entries
     capacity = fifo.capacity
     threshold = fifo.threshold
-    service = config.logger_service_cycles
     logger_stats = logger.stats
     backlog = logger._backlog
     dma = logger._dma
@@ -367,22 +369,24 @@ def _write_run_bus_logged(
     np.cumsum(step, out=Qa[1:])
     Q = Qa.tolist()
     # A drain at access j - 1 takes records already serviced when its
-    # bus write completes, so their DMAs follow that write at once.  For
-    # one record, the logger's DMA rule says how long it holds the bus
-    # (asked of an idle scratch bus); access j waits for it by extra[j]
-    # over its step.
-    hold = dma((0,), SystemBus())[1]
-    extra = np.maximum(hold - (step - bus_write), 0).tolist()
+    # bus write completes, so their DMAs take the bus right after that
+    # write.  How long one holds it, and what it counts, the logger's
+    # DMA rule says once (asked of a scratch bus, the record done as the
+    # bus comes free); access j waits for it by extra[j] over its step.
+    scratch = SystemBus()
+    wait = np.maximum(dma((0,), scratch)[0] - (step - bus_write), 0)
+    extra = wait.tolist()
     extra.append(0)
-    # Drains service one record each and never overflow the FIFO.
-    steady = (
-        service > bus_write + max(hit, config.l2_hit_cycles, hold)
-        and threshold < capacity
-    )
+    # The longest two access completions can be apart between events.
+    longest = int((step + wait).max())
+    # The FIFO cannot overflow between overloads.
+    steady = threshold < capacity
     run_ppn = paddr_base >> _PAGE_SHIFT
 
     # Logger side: the queue of FIFO items, its head position and
-    # length, and the service completion of its head.
+    # length, and when its head was queued (``head_ready``: at most
+    # ``free`` once it waited for the one ahead of it) and its service
+    # completes (``head_done``, from ``Logger._backlog``).
     free = logger._service_free
     pre = list(entries)
     entries.clear()
@@ -392,7 +396,7 @@ def _write_run_bus_logged(
     occ = npre
     pre_ppn = pre_run_end = ()
     it_paddr, it_value, it_size = paddrs, values, sizes
-    head_done = _NEVER
+    head_ready = head_done = _NEVER
     if pre:
         carried = logger.bulk_tail
         if (
@@ -421,8 +425,8 @@ def _write_run_bus_logged(
         it_paddr = np.concatenate((pre_paddr, paddrs))
         it_value = np.concatenate((pre_value, values))
         it_size = np.concatenate((pre_size, sizes))
-        ready = pre[0][0]
-        head_done = (ready if ready > free else free) + service
+        head_ready = pre[0][0]
+        head_done = backlog(head_ready, free, 1, _NEVER)[0]
     # Records serviced inline but not yet written (``dones``: their
     # service completions; they are the items just before ``head``),
     # and where they go (``target``, from ``Logger._target``): ``room``
@@ -474,15 +478,15 @@ def _write_run_bus_logged(
             # i..e-1 only queue their records.  (Deeper write buffers
             # take each access as its own event.)
             if not occ:
-                head_done = (complete if complete > free else free) + service
+                head_ready = complete
+                head_done = backlog(complete, free, 1, _NEVER)[0]
             # The access whose record would rise above the threshold.
             overload_at = i + threshold - occ if threshold < capacity else n
             # Each access waits for the previous bus write, so the
-            # completions are a prefix sum, offset by access i's.  When
-            # the logger is steady a drain takes exactly one record,
-            # whose DMA delays the next access by extra[]; the drains of
-            # the queued items, from the head on, that go to the current
-            # log page (``allowed``) are taken here, one bisection each.
+            # completions are a prefix sum, offset by access i's.  The
+            # drains of the queued items, from the head on, that go to
+            # the current log page (``allowed``) are taken here, one
+            # bisection each, while each takes exactly one record.
             allowed = 0
             if steady and occ:
                 pos = head
@@ -491,28 +495,34 @@ def _write_run_bus_logged(
                 allowed = pos - head
                 if pos >= npre and run_ppn in verified or allowed > room:
                     allowed = room
+            # The head's service completion, and the next ``allowed``.
+            sched = (head_done,)
+            if allowed:
+                sched = backlog(head_ready, free, allowed + 1, _NEVER)
+                if sched[1] - sched[0] <= longest:
+                    # A drain could take more than one record: each is
+                    # an event step of its own.
+                    allowed = 0
             off = complete - Q[i + 1]
-            first_done = head_done
             drains = 0
             lo = i + 2
             # Drains found at k - 1 < hi - 1 are neither the run's
             # last access nor past the overload, which each drain
             # delays by an access (it does not change occupancy).
             hi = overload_at + 2 if overload_at + 2 < n else n
-            while drains < allowed:
-                k = bisect_left(Q, head_done - off, lo, hi)
+            for done in sched[:allowed]:
+                k = bisect_left(Q, done - off, lo, hi)
                 if k == hi:
                     break
                 off += extra[k]
                 drains += 1
-                head_done += service
                 lo = k + 1
                 if hi < n:
                     hi += 1
                 starts.append(k)
                 offs.append(off)
             else:
-                k = bisect_left(Q, head_done - off, lo)
+                k = bisect_left(Q, sched[drains] - off, lo)
             e = k - 1
             # Drains do not change occupancy, so each one delays
             # the overload by an access.
@@ -525,13 +535,17 @@ def _write_run_bus_logged(
             if drains and e == lo - 1:
                 now -= extra[e]
             stalls += e - i
-            bus_busy += bus_write * (e - i) + hold * drains
-            transactions += e - i + drains
+            bus_busy += bus_write * (e - i)
+            transactions += e - i
             busy = complete
             if drains:
-                served = backlog(first_done, drains, _NEVER)
-                dones.extend(served)
-                free = served[-1]
+                # Their DMAs' bus cycles and transactions, as the
+                # logger counted one.
+                bus_busy += scratch.total_busy_cycles * drains
+                transactions += scratch.transaction_count * drains
+                dones.extend(sched[:drains])
+                free = head_ready = sched[drains - 1]
+                head_done = sched[drains]
                 head += drains
                 occ -= drains
                 room -= drains
@@ -580,7 +594,7 @@ def _write_run_bus_logged(
                         k = pre_run_end[item] - item
                         if k > room:
                             k = room
-                    served = backlog(head_done, k, limit)
+                    served = backlog(head_ready, free, k, limit)
                     k = len(served)
                     dones.extend(served)
                     bus._busy_until = busy
@@ -608,10 +622,10 @@ def _write_run_bus_logged(
                     target = None
                     verified.clear()
                     room = 0
-                # Every queued item was pushed before the service of the
-                # one ahead of it completed (a push first drains what its
-                # own bus write reaches), so the next starts at once.
-                head_done = free + service if occ else _NEVER
+                # The next item was queued before the one ahead of it
+                # completed.
+                head_ready = free
+                head_done = backlog(free, free, 1, _NEVER)[0] if occ else _NEVER
             if overloaded:
                 break
             # Push (PushResult semantics inlined).
@@ -622,7 +636,8 @@ def _write_run_bus_logged(
             queue.append(npre + e)
             occ += 1
             if occ == 1:
-                head_done = (complete if complete > free else free) + service
+                head_ready = complete
+                head_done = backlog(complete, free, 1, _NEVER)[0]
             if occ > high_water:
                 high_water = occ
             if occ <= threshold:

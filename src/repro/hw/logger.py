@@ -44,6 +44,8 @@ from repro.hw.records import RECORD_DTYPE, RECORD_STRUCT, encode_record
 _PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 _PAGE_MASK = PAGE_SIZE - 1
 _UNSET = object()
+#: A ``limit`` no service completion reaches: serve everything queued.
+_NEVER = 1 << 62
 
 
 class LogMode(enum.Enum):
@@ -147,8 +149,7 @@ class Logger:
     (:meth:`_drain_fast`), the generic per-record path (:meth:`_process`)
     and the bulk engine (``repro.core.bulk``) all call it:
 
-    * service — :meth:`_drain_fast`'s recurrence, and :meth:`_backlog`
-      for writes queued back to back;
+    * service — :meth:`_backlog`: when queued writes complete;
     * routing — :meth:`_target`: which records may skip :meth:`_process`
       (:meth:`_fallback` takes the others there);
     * DMA — :meth:`_dma`: when each record's DMA holds the bus;
@@ -258,11 +259,11 @@ class Logger:
         fifo = self.write_fifo
         entries = fifo._entries
         if entries:
-            ready = entries[0][0]
-            free = self._service_free
-            service = self.config.logger_service_cycles
-            if (ready if ready > free else free) + service <= complete_cycle:
-                self._drain_fast(complete_cycle)
+            dones = self._backlog(
+                entries[0][0], self._service_free, len(entries), complete_cycle
+            )
+            if dones:
+                self._drain_fast(complete_cycle, dones)
                 if p is not None and "logger.drain" in p:
                     p["logger.drain"](complete_cycle)
         result = fifo.push(complete_cycle, write)
@@ -285,11 +286,10 @@ class Logger:
         entries = self.write_fifo._entries
         if not entries:
             return
-        ready = entries[0][0]
-        start = ready if ready > self._service_free else self._service_free
-        if start + self.config.logger_service_cycles > now:
+        dones = self._backlog(entries[0][0], self._service_free, len(entries), now)
+        if not dones:
             return
-        self._drain_fast(now)
+        self._drain_fast(now, dones)
         p = probe._ACTIVE
         if p is not None and "logger.drain" in p:
             p["logger.drain"](now)
@@ -301,7 +301,7 @@ class Logger:
         have drained" time used by the overload handler.
         """
         if self.write_fifo._entries:
-            self._drain_fast(None)
+            self._drain_fast(_NEVER)
             p = probe._ACTIVE
             if p is not None and "logger.drain" in p:
                 p["logger.drain"](self._service_free)
@@ -310,73 +310,75 @@ class Logger:
     # ------------------------------------------------------------------
     # The timing model
     # ------------------------------------------------------------------
-    def _drain_fast(self, limit: int | None) -> None:
-        """Service queued writes up to ``limit`` (None = all of them).
+    def _drain_fast(self, limit: int, dones=None) -> None:
+        """Service the queued writes whose service completes by ``limit``.
 
-        The pipeline's service recurrence: the head write's service
-        completes ``logger_service_cycles`` after the later of its
-        arrival and the previous completion.  A serviced write that
-        :meth:`_target` lets skip the generic path opens a stretch,
-        which the writes behind it to the same page join while they fit
-        its log page; the stretch then takes the bus (:meth:`_dma`) and
-        is written (:meth:`_write`) at once.  Any other write, and every
+        ``dones`` are their completions, as :meth:`_backlog` gives them
+        (asked here when not given).  A serviced write that
+        :meth:`_target` lets skip the generic path opens a stretch, which
+        the writes behind it to the same page join while they fit its
+        log page; the stretch then takes the bus (:meth:`_dma`) and is
+        written (:meth:`_write`) at once.  Any other write, and every
         write while an attached probe needs per-record events
         (``probe.per_record``: injection sites and trace spans live on
-        the generic path), goes through :meth:`_process`.
+        the generic path), goes through :meth:`_process`, whose faults
+        may delay the writes behind it: their completions are asked
+        again.
         """
         entries = self.write_fifo._entries
-        service = self.config.logger_service_cycles
         p = probe._ACTIVE
         generic = p is not None and p.per_record
-        free = self._service_free
-        writes: list[BusWrite] = []
-        dones: list[int] = []
-        page = room = 0
+        bus = self.bus
         while True:
-            due = False
-            if entries:
-                ready, write = entries[0]
-                done = (ready if ready > free else free) + service
-                due = limit is None or done <= limit
-            if room > 0 and due and write.paddr >> _PAGE_SHIFT == page:
-                # It joins the open stretch.
-                entries.popleft()
-                free = done
-                writes.append(write)
-                dones.append(done)
-                room -= 1
-                continue
-            if dones:
-                # Close the stretch: its DMAs, then its records (their
-                # PMT lookups are counted here).
-                self._dma(dones, self.bus)
+            if dones is None:
+                if not entries:
+                    return
+                dones = self._backlog(
+                    entries[0][0], self._service_free, len(entries), limit
+                )
+            count = len(dones)
+            i = 0
+            while i < count:
+                write = entries.popleft()[1]
+                page = write.paddr >> _PAGE_SHIFT
+                target = None if generic else self._target(page)
+                if target is None:
+                    self._fallback(write, dones[i], bus._busy_until)
+                    break
+                log_index, entry, sink, room = target
+                writes = [write]
+                j = i + 1
+                end = i + room if i + room < count else count
+                while j < end and entries[0][1].paddr >> _PAGE_SHIFT == page:
+                    writes.append(entries.popleft()[1])
+                    j += 1
+                stretch = dones[i:j]
+                self._dma(stretch, bus)
                 paddrs, values, sizes, _, _ = zip(*writes)
-                self._write(log_index, entry, sink, paddrs, values, sizes, dones)
-                self.pmt.lookup_count += len(dones)
-                writes = []
-                dones = []
-                room = 0
-            if not due:
-                break
-            entries.popleft()
-            free = done
-            page = write.paddr >> _PAGE_SHIFT
-            target = None if generic else self._target(page)
-            if target is None:
-                free = self._fallback(write, done, self.bus._busy_until)[0]
-                continue
-            log_index, entry, sink, room = target
-            writes.append(write)
-            dones.append(done)
-            room -= 1
-        self._service_free = free
+                self._write(log_index, entry, sink, paddrs, values, sizes, stretch)
+                self.pmt.lookup_count += j - i
+                self._service_free = dones[j - 1]
+                i = j
+            else:
+                return
+            dones = None
 
-    def _backlog(self, first: int, count: int, limit: int):
-        """Service completions of the next ``count`` queued writes when
-        each was queued before the one ahead of it completed, the first
-        completing at ``first``: one per service time.  Only those
-        completing by ``limit`` are served."""
+    def _backlog(self, ready: int, free: int, count: int, limit: int):
+        """Service completions of the next ``count`` queued writes, up to
+        ``limit``.
+
+        The pipeline is free from ``free``, and the first of the writes
+        was queued at ``ready``: its service completes
+        ``logger_service_cycles`` after the later of the two.  Each later
+        one was queued before the one ahead of it completed (a push first
+        drains what its own bus write reaches), so it completes one
+        service time after that one.  Only those completing by ``limit``
+        are served.
+        """
         service = self.config.logger_service_cycles
+        first = (ready if ready > free else free) + service
+        if first > limit:
+            return ()
         if not service:
             return [first] * count
         if first + (count - 1) * service > limit:
@@ -431,19 +433,14 @@ class Logger:
         then the DMA before it — and holds it ``log_dma_bus_cycles``;
         each counts as one transaction and its busy cycles.  Returns
         ``(end, held)``: the bus cursor after the last DMA and the
-        cycles they held.  The bulk engine asks it what one record's DMA
-        holds by applying it to an idle scratch bus.
+        cycles they held.  The bulk engine asks it how one record's DMA
+        takes a bus that comes free as the record is done by applying it
+        to a scratch bus.
         """
         hold = self.config.log_dma_bus_cycles
         busy = bus._busy_until
-        if type(dones) is range:
-            # Evenly spaced completions: the recurrence below, whose
-            # latest idle start is the first record's or the last's.
-            count = len(dones)
-            busy = max(busy + count * hold, dones[0] + count * hold, dones[-1] + hold)
-        else:
-            for done in dones:
-                busy = (done if done > busy else busy) + hold
+        for done in dones:
+            busy = (done if done > busy else busy) + hold
         held = hold * len(dones)
         bus._busy_until = busy
         bus.total_busy_cycles += held
@@ -524,7 +521,7 @@ class Logger:
     def _handle_overload(self, now: int) -> None:
         """FIFO crossed the threshold: interrupt and drain (section 3.1.3)."""
         self._overload_raised(now)
-        self._drain_fast(None)
+        self._drain_fast(_NEVER)
         self._overload_served(now)
 
     def _overload_raised(self, now: int) -> None:

@@ -485,6 +485,24 @@ def _stamped_at_service_start(self, dones):
     return [done - service for done in dones]
 
 
+def _backlog_service_changed_by(delta):
+    """``Logger._backlog`` with every record's service ``delta`` cycles
+    longer.  Nine cycles either way is more than a store's step, so a
+    site that kept the old service time finds a drain at the wrong
+    store, or misses one."""
+
+    def backlog(self, ready, free, count, limit):
+        service = self.config.logger_service_cycles + delta
+        first = (ready if ready > free else free) + service
+        if first > limit:
+            return ()
+        if first + (count - 1) * service > limit:
+            count = (limit - first) // service + 1
+        return range(first, first + count * service, service)
+
+    return backlog
+
+
 def _dma_one_cycle_longer(self, dones, bus):
     """Every record DMA holds the bus one cycle longer."""
     hold = self.config.log_dma_bus_cycles + 1
@@ -548,22 +566,26 @@ def _vm_copy_64k():
     return BASE, build, drive
 
 
+@pytest.mark.parametrize("delta", [-9, 9], ids=["faster_service", "slower_service"])
 @pytest.mark.parametrize(
     "workload",
     [_sequential_logged, _overload, _log_page_boundary, _pmt_conflict, _vm_copy_64k],
     ids=lambda workload: workload.__name__.lstrip("_"),
 )
-def test_a_model_change_is_one_edit(workload, monkeypatch):
+def test_a_model_change_is_one_edit(workload, delta, monkeypatch):
     """Change the timing model inside the logger's shared step only —
-    where a record's timestamp is taken, and how long its DMA holds
-    the bus — and the word path and the bulk engine still agree."""
+    how long a record's service takes, where its timestamp is taken,
+    and how long its DMA holds the bus — and the word path and the
+    bulk engine still agree."""
     config, build, drive = workload()
     before = run_pair(build, drive, config)
+    monkeypatch.setattr(Logger, "_backlog", _backlog_service_changed_by(delta))
     monkeypatch.setattr(Logger, "_stamped_at", _stamped_at_service_start)
     monkeypatch.setattr(Logger, "_dma", _dma_one_cycle_longer)
     after = run_pair(build, drive, config)
-    # The change took: the bus is held longer and the records differ.
-    assert after["bus"][1] > before["bus"][1]
+    # The change took: the bus, the pipeline and the records differ.
+    assert after["bus"] != before["bus"]
+    assert after["logger_service_free"] != before["logger_service_free"]
     assert after["logs"] != before["logs"]
 
 
